@@ -146,6 +146,16 @@ def dbl_bruteforce(s: Antiderivative, x: float, a: float, n: int = 16) -> float:
     return float(weights @ diff2 @ weights)
 
 
+def _origins(end: float, a: float, step: float) -> np.ndarray:
+    """Window origins 0, step, 2 step, ... up to end - a, the last clipped to it."""
+    origins = []
+    t = 0.0
+    while t <= end - a + 1e-12:
+        origins.append(min(t, end - a))
+        t += step
+    return np.asarray(origins)
+
+
 def scan_necessary(s: Antiderivative, a: float,
                    thresholds: Thresholds = Thresholds()):
     """dbl over origins i*a/2 up to X-a; refuted=True when the scan is bounded.
@@ -155,13 +165,9 @@ def scan_necessary(s: Antiderivative, a: float,
     """
     if not (0.0 < a <= s.domain_end):
         raise DomainError(f"window length {a} must lie in (0, {s.domain_end}]")
-    origins = []
-    t = 0.0
-    while t <= s.domain_end - a + 1e-12:
-        origins.append(min(t, s.domain_end - a))
-        t += a / 2.0
+    origins = _origins(s.domain_end, a, a / 2.0)
     values = [window_deviation(s, x, a)[2] for x in origins]
-    series = WindowSeries(a, np.asarray(origins), np.asarray(values))
+    series = WindowSeries(a, origins, np.asarray(values))
     refuted = bounded_trend(series.values, thresholds.growth_factor,
                             thresholds.dbl_bound)
     return series, refuted
@@ -213,12 +219,7 @@ def brinck(s: Antiderivative, d: float = 1.0, a: float = 1.0,
     cloud = _difference_cloud(s, d)
     sector = sectors.fit_sector(cloud, require_strict_args=True,
                                 translate_vertex=True)
-    origins = []
-    t = 0.0
-    while t <= s.domain_end - a + 1e-12:
-        origins.append(min(t, s.domain_end - a))
-        t += a / 4.0
-    origins = np.asarray(origins)
+    origins = _origins(s.domain_end, a, a / 4.0)
     growth = np.abs(s.values(origins + a) - s.values(origins))
     series = WindowSeries(a, origins, growth)
     hint = None
@@ -408,11 +409,8 @@ def classify(s: Antiderivative, config: ClassifyConfig = ClassifyConfig()) -> Ve
     if config.base is not None:
         s0, eps = config.base
         sigma = potential.subtract(s, s0)
-        dev_values = []
-        t = 0.0
-        while t <= s.domain_end - 1.0 + 1e-12:
-            dev_values.append(window_deviation(sigma, t, 1.0)[1])
-            t += 0.5
+        dev_values = [window_deviation(sigma, t, 1.0)[1]
+                      for t in _origins(s.domain_end, 1.0, 0.5)]
         sigma_bounded = bounded_trend(np.asarray(dev_values), th.growth_factor,
                                       th.deviation_bound)
         scaled_sector, _g, _h = brinck(potential.scale(s0, 1.0 + eps),

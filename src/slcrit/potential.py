@@ -236,11 +236,10 @@ class Antiderivative:
 
 @dataclass(frozen=True)
 class Moments:
-    """Window integrals of s: m0 = int s, q2 = int |s|^2, m2 = int s^2."""
+    """Window integrals of s: m0 = int s, q2 = int |s|^2."""
 
     m0: complex
     q2: float
-    m2: complex
 
 
 def moments(s: Antiderivative, interval: Interval, rtol: float = quadrature.DEFAULT_RTOL) -> Moments:
@@ -250,9 +249,7 @@ def moments(s: Antiderivative, interval: Interval, rtol: float = quadrature.DEFA
     m0 = complex(quadrature.integrate_many(s.values, edges, rtol=rtol).sum())
     q2 = complex(quadrature.integrate_many(
         lambda x: np.abs(s.values(x)) ** 2, edges, rtol=rtol).sum())
-    m2 = complex(quadrature.integrate_many(
-        lambda x: s.values(x) ** 2, edges, rtol=rtol).sum())
-    return Moments(m0=m0, q2=q2.real, m2=m2)
+    return Moments(m0=m0, q2=q2.real)
 
 
 # -- constructors ----------------------------------------------------------

@@ -17,6 +17,12 @@ constant on the panel (there the true system matrix is nilpotent), and has
 unit determinant, so the fundamental pair keeps its Wronskian exactly.
 Panels are aligned with breakpoints; the state (y, y1) is continuous across
 jumps of s by the regularization contract, so no impulse handling is needed.
+
+One kernel, ``_transfers``, builds these exponentials for any array of
+segments at once (whole panels, panel heads and panel tails alike), and one
+march, ``_march``, chains them.  Marching the identity gives both columns of
+the fundamental matrix in one pass; the march is also the single place where
+overflow is detected.
 """
 
 from __future__ import annotations
@@ -47,12 +53,10 @@ class State:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States sampled at the panel nodes, with the panel moments used."""
+    """States sampled at the panel nodes."""
 
     nodes: np.ndarray
     states: np.ndarray        # shape (len(nodes), 2), complex
-    panel_s1: np.ndarray      # int s per panel
-    panel_s2: np.ndarray      # int s^2 per panel
 
     @property
     def y(self) -> np.ndarray:
@@ -90,29 +94,61 @@ def _panel_edges(s: Antiderivative, interval: Interval, panels: int,
     return np.asarray(keep)
 
 
-def _cosh_sinhc(w2: complex) -> tuple[complex, complex]:
-    """cosh(w) and sinh(w)/w as entire functions of w^2."""
-    if abs(w2) < 1e-8:
-        ch = 1.0 + w2 / 2.0 + w2 * w2 / 24.0 + w2 ** 3 / 720.0
-        shc = 1.0 + w2 / 6.0 + w2 * w2 / 120.0 + w2 ** 3 / 5040.0
-        return complex(ch), complex(shc)
-    w = np.sqrt(complex(w2))
-    return complex(np.cosh(w)), complex(np.sinh(w) / w)
+def _grid(s: Antiderivative, interval: Interval, panels: int,
+          forcing: Antiderivative = None) -> np.ndarray:
+    s.check_interval(interval)
+    if panels < 1:
+        raise ValidationError("panel count must be positive")
+    return _panel_edges(s, interval, panels, forcing)
 
 
-def _transfer(s1: complex, s2: complex, h: float) -> np.ndarray:
-    """exp of the averaged panel matrix [[s1, h], [-s2, -s1]]."""
-    w2 = s1 * s1 - h * s2
-    ch, shc = _cosh_sinhc(w2)
-    return np.array([[ch + shc * s1, shc * h],
-                     [-shc * s2, ch - shc * s1]], dtype=complex)
+def _gauss(lo: np.ndarray, hi: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
+    """Gauss nodes inside each panel, shape (k, len(nodes)), and their weights."""
+    half = 0.5 * (hi - lo)
+    xq = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+    return xq, weights * half[:, None]
 
 
-def _sub_moments(s: Antiderivative, lo, hi):
-    """(int s, int s^2) over segments [lo_i, hi_i] free of breakpoints."""
+def _transfers(s: Antiderivative, lo, hi) -> np.ndarray:
+    """exp([[S1, h], [-S2, -S1]]) for the segments [lo, hi], shape (..., 2, 2).
+
+    The segments must avoid breakpoints of s; lo and hi broadcast together.
+    cosh(w) and sinh(w)/w are entire in w^2, so a short Taylor series
+    replaces them where |w^2| is tiny.
+    """
     s1 = quadrature.segment_moments(s.values, lo, hi)
     s2 = quadrature.segment_moments(lambda x: s.values(x) ** 2, lo, hi)
-    return s1, s2
+    h = hi - lo
+    w2 = s1 * s1 - h * s2
+    small = np.abs(w2) < 1e-8
+    z = np.where(small, w2, 0.0)
+    w = np.sqrt(np.where(small, 1.0, w2))
+    ch = np.where(small, 1.0 + z / 2.0 + z * z / 24.0 + z ** 3 / 720.0, np.cosh(w))
+    shc = np.where(small, 1.0 + z / 6.0 + z * z / 120.0 + z ** 3 / 5040.0,
+                   np.sinh(w) / w)
+    T = np.empty(w2.shape + (2, 2), dtype=complex)
+    T[..., 0, 0] = ch + shc * s1
+    T[..., 0, 1] = shc * h
+    T[..., 1, 0] = -shc * s2
+    T[..., 1, 1] = ch - shc * s1
+    return T
+
+
+def _march(T: np.ndarray, init: np.ndarray, drive: np.ndarray = None) -> np.ndarray:
+    """states[k+1] = T[k] @ states[k] - drive[k] from states[0] = init.
+
+    ``init`` is a state vector or the 2x2 identity (then the states are the
+    cumulative transfer products).
+    """
+    states = np.empty((T.shape[0] + 1,) + np.shape(init), dtype=complex)
+    states[0] = init
+    for k in range(T.shape[0]):
+        states[k + 1] = T[k] @ states[k]
+        if drive is not None:
+            states[k + 1] -= drive[k]
+    if not np.all(np.isfinite(states)):
+        raise NumericError("trajectory overflowed; reduce the interval or panels")
+    return states
 
 
 def propagate(s: Antiderivative, interval: Interval, init: State,
@@ -124,46 +160,30 @@ def propagate(s: Antiderivative, interval: Interval, init: State,
     from sub-panel moments; panels always respect breakpoints of s and the
     forcing.
     """
-    s.check_interval(interval)
-    if panels < 1:
-        raise ValidationError("panel count must be positive")
-    edges = _panel_edges(s, interval, panels, forcing)
+    edges = _grid(s, interval, panels, forcing)
     lo, hi = edges[:-1], edges[1:]
-    h = hi - lo
-    s1, s2 = _sub_moments(s, lo, hi)
-
-    states = np.empty((edges.size, 2), dtype=complex)
-    states[0] = (complex(init.y), complex(init.y1))
-
+    drive = None
     if forcing is not None:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * h
-        xq = mid[:, None] + half[:, None] * _G3_NODES[None, :]
+        xq, wq = _gauss(lo, hi, _G3_NODES, _G3_WEIGHTS)
         fq = forcing.values(xq.ravel()).reshape(xq.shape)
-        tail_s1, tail_s2 = _sub_moments(s, xq.ravel(),
-                                        np.repeat(hi, len(_G3_NODES)))
-        tail_s1 = tail_s1.reshape(xq.shape)
-        tail_s2 = tail_s2.reshape(xq.shape)
+        tail = _transfers(s, xq, hi[:, None])[..., :, 1]
+        drive = np.einsum("kq,kqi->ki", wq * fq, tail)
+    states = _march(_transfers(s, lo, hi), (init.y, init.y1), drive)
+    return Trajectory(nodes=edges, states=states)
 
-    for k in range(edges.size - 1):
-        state = _transfer(s1[k], s2[k], h[k]) @ states[k]
-        if forcing is not None:
-            for q in range(len(_G3_NODES)):
-                T = _transfer(tail_s1[k, q], tail_s2[k, q], hi[k] - xq[k, q])
-                weight = _G3_WEIGHTS[q] * half[k]
-                state = state - weight * fq[k, q] * T[:, 1]
-        states[k + 1] = state
-    if not np.all(np.isfinite(states)):
-        raise NumericError("trajectory overflowed; reduce the interval or panels")
-    return Trajectory(nodes=edges, states=states, panel_s1=s1, panel_s2=s2)
+
+def _fundamental(s: Antiderivative, edges: np.ndarray) -> np.ndarray:
+    """Cumulative transfer products: column 0 is psi, column 1 is phi."""
+    return _march(_transfers(s, edges[:-1], edges[1:]), np.eye(2))
 
 
 def fundamental_pair(s: Antiderivative, interval: Interval,
                      panels: int = 256) -> tuple[Trajectory, Trajectory]:
     """Trajectories with initial data (0, 1) and (1, 0) from the left end."""
-    phi = propagate(s, interval, State(0.0, 1.0), panels=panels)
-    psi = propagate(s, interval, State(1.0, 0.0), panels=panels)
-    return phi, psi
+    edges = _grid(s, interval, panels)
+    fund = _fundamental(s, edges)
+    return (Trajectory(nodes=edges, states=fund[:, :, 1]),
+            Trajectory(nodes=edges, states=fund[:, :, 0]))
 
 
 def wronskian_defect(phi: Trajectory, psi: Trajectory) -> float:
@@ -182,50 +202,18 @@ def cauchy_apply(s: Antiderivative, interval: Interval, forcing: Antiderivative,
     route from ``propagate`` with a forcing term; the two agree to the scheme
     tolerance on piecewise-polynomial forcings.
     """
-    s.check_interval(interval)
-    edges = _panel_edges(s, interval, panels, forcing)
+    edges = _grid(s, interval, panels, forcing)
     lo, hi = edges[:-1], edges[1:]
-    h = hi - lo
-    s1, s2 = _sub_moments(s, lo, hi)
-
-    # fundamental pair on exactly these panels
-    states_phi = np.empty((edges.size, 2), dtype=complex)
-    states_psi = np.empty((edges.size, 2), dtype=complex)
-    states_phi[0] = (0.0, 1.0)
-    states_psi[0] = (1.0, 0.0)
-    transfers = [
-        _transfer(s1[k], s2[k], h[k]) for k in range(edges.size - 1)]
-    for k, T in enumerate(transfers):
-        states_phi[k + 1] = T @ states_phi[k]
-        states_psi[k + 1] = T @ states_psi[k]
-
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * h
-    xq = mid[:, None] + half[:, None] * _G3_NODES[None, :]
+    fund = _fundamental(s, edges)
+    xq, wq = _gauss(lo, hi, _G3_NODES, _G3_WEIGHTS)
     fq = forcing.values(xq.ravel()).reshape(xq.shape)
-    head_s1, head_s2 = _sub_moments(s, np.repeat(lo, len(_G3_NODES)), xq.ravel())
-    head_s1 = head_s1.reshape(xq.shape)
-    head_s2 = head_s2.reshape(xq.shape)
-
-    int_phi_f = np.zeros(edges.size, dtype=complex)
-    int_psi_f = np.zeros(edges.size, dtype=complex)
-    for k in range(edges.size - 1):
-        acc_phi = 0j
-        acc_psi = 0j
-        for q in range(len(_G3_NODES)):
-            T = _transfer(head_s1[k, q], head_s2[k, q], xq[k, q] - lo[k])
-            phi_q = T @ states_phi[k]
-            psi_q = T @ states_psi[k]
-            weight = _G3_WEIGHTS[q] * half[k]
-            acc_phi += weight * phi_q[0] * fq[k, q]
-            acc_psi += weight * psi_q[0] * fq[k, q]
-        int_phi_f[k + 1] = int_phi_f[k] + acc_phi
-        int_psi_f[k + 1] = int_psi_f[k] + acc_psi
-
-    states = np.empty((edges.size, 2), dtype=complex)
-    states[:, 0] = states_psi[:, 0] * int_phi_f - states_phi[:, 0] * int_psi_f
-    states[:, 1] = states_psi[:, 1] * int_phi_f - states_phi[:, 1] * int_psi_f
-    return Trajectory(nodes=edges, states=states, panel_s1=s1, panel_s2=s2)
+    # y of (psi, phi) at the Gauss nodes, shape (k, q, 2)
+    yq = np.einsum("kqj,kji->kqi", _transfers(s, lo[:, None], xq)[..., 0, :],
+                   fund[:-1])
+    integrals = np.zeros((edges.size, 2), dtype=complex)
+    integrals[1:] = np.cumsum(np.einsum("kq,kqi->ki", wq * fq, yq), axis=0)
+    states = fund[:, :, 0] * integrals[:, 1:] - fund[:, :, 1] * integrals[:, :1]
+    return Trajectory(nodes=edges, states=states)
 
 
 def weak_residual(s: Antiderivative, traj: Trajectory,
@@ -237,33 +225,15 @@ def weak_residual(s: Antiderivative, traj: Trajectory,
     system; it vanishes to quadrature accuracy on panels where s is constant
     and shrinks at third order in the panel width otherwise.
     """
-    edges = traj.nodes
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes8, weights8 = np.polynomial.legendre.leggauss(8)
-    xq = mid[:, None] + half[:, None] * nodes8[None, :]
-    head_s1, head_s2 = _sub_moments(s, np.repeat(lo, len(nodes8)), xq.ravel())
-    head_s1 = head_s1.reshape(xq.shape)
-    head_s2 = head_s2.reshape(xq.shape)
+    lo, hi = traj.nodes[:-1], traj.nodes[1:]
+    xq, wq = _gauss(lo, hi, *np.polynomial.legendre.leggauss(8))
+    yq = np.einsum("kqij,kj->kqi", _transfers(s, lo[:, None], xq), traj.states[:-1])
     sq = s.values(xq.ravel()).reshape(xq.shape)
-    fq = forcing.values(xq.ravel()).reshape(xq.shape) if forcing is not None else 0.0
-
-    worst = 0.0
-    for k in range(edges.size - 1):
-        yq = np.empty(len(nodes8), dtype=complex)
-        y1q = np.empty(len(nodes8), dtype=complex)
-        for q in range(len(nodes8)):
-            T = _transfer(head_s1[k, q], head_s2[k, q], xq[k, q] - lo[k])
-            vec = T @ traj.states[k]
-            yq[q], y1q[q] = vec[0], vec[1]
-        integrand = sq[k] * y1q + sq[k] ** 2 * yq
-        if forcing is not None:
-            integrand = integrand + fq[k]
-        integral = complex(np.sum(integrand * weights8) * half[k])
-        defect = (traj.states[k + 1, 1] - traj.states[k, 1]) + integral
-        worst = max(worst, abs(defect))
-    return worst
+    integrand = sq * yq[..., 1] + sq ** 2 * yq[..., 0]
+    if forcing is not None:
+        integrand = integrand + forcing.values(xq.ravel()).reshape(xq.shape)
+    defect = np.diff(traj.states[:, 1]) + np.sum(integrand * wq, axis=1)
+    return float(np.abs(defect).max())
 
 
 @dataclass(frozen=True)

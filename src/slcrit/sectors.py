@@ -43,16 +43,6 @@ class Sector:
                 and self.alpha > -math.pi + tol
                 and self.beta < math.pi - tol)
 
-    def contains(self, z: complex, tol: float = 1e-9) -> bool:
-        rel = complex(z) - self.vertex
-        if abs(rel) <= tol:
-            return True
-        ang = math.atan2(rel.imag, rel.real)
-        for shift in (-_TWO_PI, 0.0, _TWO_PI):
-            if self.alpha - tol <= ang + shift <= self.beta + tol:
-                return True
-        return False
-
 
 def minimal_arc(angles: np.ndarray) -> tuple[float, float]:
     """Smallest circular arc covering all angles; returns (start, span).
@@ -76,10 +66,8 @@ def minimal_arc(angles: np.ndarray) -> tuple[float, float]:
 
 def _support_candidates(points: np.ndarray, directions: int = 32) -> np.ndarray:
     """Extreme points of the cloud over a fan of support directions."""
-    idx = set()
     thetas = np.arange(directions) * (_TWO_PI / directions)
-    proj = np.real(points[None, :] * np.exp(-1j * thetas)[:, None])
-    idx.update(int(i) for i in np.argmin(proj, axis=1))
+    idx = {int(np.argmin(np.real(points * r))) for r in np.exp(-1j * thetas)}
     return points[sorted(idx)]
 
 

@@ -2,9 +2,7 @@
 
 Each suite replays one of the package's certified invariants on a random
 corpus and reports the worst case it saw.  A fixed seed makes the whole run
-bit-reproducible.  The optional ``corrupt`` argument names a suite whose
-measured value gets sabotaged before comparison; it exists purely so the
-harness itself can be tested for its ability to fail.
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -36,11 +34,7 @@ class SuiteResult:
         return msg
 
 
-def _corrupt_bias(corrupt: str | None, name: str) -> float:
-    return 1e3 if corrupt == name else 0.0
-
-
-def variance_identity_suite(seed: int, cases: int = 50, corrupt: str | None = None) -> SuiteResult:
+def variance_identity_suite(seed: int, cases: int = 50) -> SuiteResult:
     """window_deviation.dbl vs the brute-force tensor double integral."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -52,14 +46,13 @@ def variance_identity_suite(seed: int, cases: int = 50, corrupt: str | None = No
         brute = criteria.dbl_bruteforce(s, win.a, win.length, n=16)
         # relative at O(1) scale and above, absolute 1e-8 below it
         rel = abs(dbl - brute) / max(abs(brute), 1.0)
-        rel += _corrupt_bias(corrupt, "variance_identity")
         if rel > worst:
             worst = rel
             detail = f"case {k}: dbl={dbl!r} brute={brute!r}"
     return SuiteResult("variance_identity", worst <= 1e-8, cases, worst, 1e-8, detail)
 
 
-def two_sided_suite(seed: int, cases: int = 50, corrupt: str | None = None) -> SuiteResult:
+def two_sided_suite(seed: int, cases: int = 50) -> SuiteResult:
     """a*dev <= dbl <= 4*a*dev with slack >= -1e-9 relative."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -71,15 +64,13 @@ def two_sided_suite(seed: int, cases: int = 50, corrupt: str | None = None) -> S
         _c, dev, dbl = criteria.window_deviation(s, win.a, a)
         scale = max(dbl, a * dev, 1.0)
         slack = max(a * dev - dbl, dbl - 4.0 * a * dev) / scale
-        slack += _corrupt_bias(corrupt, "two_sided")
         if slack > worst:
             worst = slack
             detail = f"case {k}: a*dev={a * dev!r} dbl={dbl!r}"
     return SuiteResult("two_sided", worst <= 1e-9, cases, worst, 1e-9, detail)
 
 
-def partition_identity_suite(seed: int, bumps: int = 10, potentials: int = 5,
-                             corrupt: str | None = None) -> SuiteResult:
+def partition_identity_suite(seed: int, bumps: int = 10, potentials: int = 5) -> SuiteResult:
     """Overlapping-window identity: residual and correction ceiling."""
     rng = np.random.default_rng(seed)
     X = 4.0
@@ -99,7 +90,6 @@ def partition_identity_suite(seed: int, bumps: int = 10, potentials: int = 5,
             excess = max(rep.residual,
                          (rep.correction - 2.0 * math.pi ** 2 * rep.norm_sq)
                          / max(rep.norm_sq, 1e-12))
-            excess += _corrupt_bias(corrupt, "partition_identity")
             count += 1
             if excess > worst:
                 worst = excess
@@ -107,7 +97,7 @@ def partition_identity_suite(seed: int, bumps: int = 10, potentials: int = 5,
     return SuiteResult("partition_identity", worst <= 1e-6, count, worst, 1e-6, detail)
 
 
-def growth_bound_suite(seed: int, cases: int = 100, corrupt: str | None = None) -> SuiteResult:
+def growth_bound_suite(seed: int, cases: int = 100) -> SuiteResult:
     """Fundamental-pair sup bound M <= 2 on qualifying short windows."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -123,14 +113,13 @@ def growth_bound_suite(seed: int, cases: int = 100, corrupt: str | None = None) 
         if not res.applicable:
             continue
         used += 1
-        value = res.M + _corrupt_bias(corrupt, "growth_bound")
-        if value > worst:
-            worst = value
+        if res.M > worst:
+            worst = res.M
             detail = f"case {k}: M={res.M:.6f} dev={res.deviation:.4f} len={res.interval_length:.4f}"
     return SuiteResult("growth_bound", worst <= 2.0 + 1e-6, used, worst, 2.0 + 1e-6, detail)
 
 
-def miura_positivity_suite(seed: int, cases: int = 20, corrupt: str | None = None) -> SuiteResult:
+def miura_positivity_suite(seed: int, cases: int = 20) -> SuiteResult:
     """Every unit-window Hermitian-part lambda_min >= -1e-6 for miura potentials."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
@@ -140,14 +129,13 @@ def miura_positivity_suite(seed: int, cases: int = 20, corrupt: str | None = Non
         s = potential.miura(gamma, 0.0)
         scan = forms.localization_scan(s, n=48, angles=16)
         low = min(r.herm_lambda_min for r in scan.rows)
-        low -= _corrupt_bias(corrupt, "miura_positivity")
         if -low > worst:
             worst = -low
             detail = f"case {k}: lambda_min={low:.3e}"
     return SuiteResult("miura_positivity", worst <= 1e-6, cases, worst, 1e-6, detail)
 
 
-def solver_consistency_suite(seed: int, cases: int = 20, corrupt: str | None = None) -> SuiteResult:
+def solver_consistency_suite(seed: int, cases: int = 20) -> SuiteResult:
     """cauchy_apply vs propagate-with-forcing, plus the Wronskian invariant."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -171,7 +159,6 @@ def solver_consistency_suite(seed: int, cases: int = 20, corrupt: str | None = N
         diff = float(np.abs(direct.states - kernel.states).max()) / scale
         phi, psi = regsolve.fundamental_pair(s, win, panels=panels)
         diff = max(diff, regsolve.wronskian_defect(phi, psi))
-        diff += _corrupt_bias(corrupt, "solver_consistency")
         if diff > worst:
             worst = diff
             detail = f"case {k}"
@@ -188,5 +175,5 @@ ALL_SUITES = (
 )
 
 
-def run_all(seed: int, corrupt: str | None = None) -> list[SuiteResult]:
-    return [suite(seed, corrupt=corrupt) for suite in ALL_SUITES]
+def run_all(seed: int) -> list[SuiteResult]:
+    return [suite(seed) for suite in ALL_SUITES]

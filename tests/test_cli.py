@@ -132,8 +132,11 @@ def test_verify_seed_variation():
         assert all(r.passed for r in verify.run_all(seed))
 
 
-def test_verify_corrupt_hook_fails():
-    results = verify.run_all(7, corrupt="variance_identity")
+def test_verify_detects_broken_oracle(monkeypatch):
+    exact = verify.criteria.dbl_bruteforce
+    monkeypatch.setattr(verify.criteria, "dbl_bruteforce",
+                        lambda *args, **kwargs: exact(*args, **kwargs) + 1e3)
+    results = verify.run_all(7)
     failed = [r for r in results if not r.passed]
     assert len(failed) == 1 and failed[0].name == "variance_identity"
     assert failed[0].detail

@@ -282,3 +282,15 @@ def test_verdict_consistency_invariant():
             assert not by_rule["scan_necessary"]["refuted"]
             assert (by_rule["brinck"]["hint"] == criteria.OUTCOME_COMPACT
                     or by_rule["sector_fit"]["sector"]["found"])
+
+
+def test_classify_perturbation_windows_clip_to_domain():
+    # X - 1 is a hair below the half-step origin 2.0: the last unit window
+    # must be clipped to [X - 1, X] instead of running past the domain end
+    X = 3.0 - 1e-13
+    base = sl.from_poly((0.0, 0.0, 0.5), X)
+    s = sl.add(base, sl.delta_sum([1.3], [0.2], X))
+    v = sl.classify(s, criteria.ClassifyConfig(base=(base, 0.1)))
+    assert "perturbation" in {e.rule for e in v.evidence}
+    series, _ = criteria.scan_necessary(s, 1.0)
+    assert series.origins[-1] == X - 1.0

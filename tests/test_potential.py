@@ -49,12 +49,11 @@ def test_jump_must_sit_on_breakpoint():
 
 
 def test_moments_linear_closed_form():
-    # s(xi) = xi on [0,1]: int = 1/2, int |s|^2 = int s^2 = 1/3
+    # s(xi) = xi on [0,1]: int = 1/2, int |s|^2 = 1/3
     s = sl.from_poly((0.0, 1.0), 1.0)
     m = sl.moments(s, sl.Interval(0.0, 1.0))
     assert m.m0 == pytest.approx(0.5, abs=1e-12)
     assert m.q2 == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert m.m2 == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_moments_step_closed_form():
@@ -66,7 +65,7 @@ def test_moments_step_closed_form():
 
 def test_moments_zero():
     m = sl.moments(sl.zero(2.0), sl.Interval(0.0, 2.0))
-    assert m.m0 == 0 and m.q2 == 0 and m.m2 == 0
+    assert m.m0 == 0 and m.q2 == 0
 
 
 def test_moment_additivity_randomized():
@@ -81,7 +80,6 @@ def test_moment_additivity_randomized():
         scale = max(1.0, abs(whole.m0), whole.q2)
         assert abs(whole.m0 - left.m0 - right.m0) <= 1e-9 * scale
         assert abs(whole.q2 - left.q2 - right.q2) <= 1e-9 * scale
-        assert abs(whole.m2 - left.m2 - right.m2) <= 1e-9 * scale
 
 
 def test_delta_sum_examples():

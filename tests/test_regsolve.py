@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import slcrit as sl
-from slcrit import regsolve, sampling
+from slcrit import quadrature, regsolve, sampling
+from slcrit.errors import NumericError
 
 
 def test_propagate_constant_coefficient_exact():
@@ -84,6 +86,51 @@ def test_consistency_propagate_vs_cauchy():
         b = regsolve.cauchy_apply(s, win, f, panels=64)
         scale = max(1.0, float(np.abs(a.states).max()))
         assert float(np.abs(a.states - b.states).max()) / scale <= 1e-10
+
+
+def test_transfers_match_expm():
+    # the closed-form panel exponential against scipy's Pade expm, on both
+    # sides of the |w^2| = 1e-8 switch to the Taylor series
+    rng = np.random.default_rng(41)
+    cases = [sl.scale(sampling.random_antiderivative(rng, domain_end=1.0), c)
+             for c in (1e-6, 1e-4, 1e-2, 0.5, 5.0)]
+    cases.append(sl.from_poly((0.0, 5.0, -5.0j), 1.0))
+    small = large = 0
+    for s in cases:
+        edges = regsolve._panel_edges(s, sl.Interval(0.0, 1.0), 4)
+        lo, hi = edges[:-1], edges[1:]
+        T = regsolve._transfers(s, lo, hi)
+        s1 = quadrature.segment_moments(s.values, lo, hi)
+        s2 = quadrature.segment_moments(lambda x: s.values(x) ** 2, lo, hi)
+        w2 = s1 * s1 - (hi - lo) * s2
+        small += int(np.sum(np.abs(w2) < 1e-8))
+        large += int(np.sum(np.abs(w2) >= 1e-8))
+        for k in range(lo.size):
+            ref = scipy.linalg.expm(np.array([[s1[k], hi[k] - lo[k]],
+                                              [-s2[k], -s1[k]]]))
+            assert np.abs(T[k] - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert small > 0 and large > 0
+
+
+def test_fundamental_pair_matches_propagate():
+    rng = np.random.default_rng(43)
+    s = sl.scale(sampling.random_antiderivative(rng, domain_end=1.0), 3.0)
+    win = sl.Interval(0.0, 1.0)
+    phi, psi = regsolve.fundamental_pair(s, win, panels=128)
+    for pair, init in ((phi, regsolve.State(0.0, 1.0)),
+                       (psi, regsolve.State(1.0, 0.0))):
+        ref = regsolve.propagate(s, win, init, panels=128)
+        assert np.array_equal(pair.nodes, ref.nodes)
+        scale = max(1.0, ref.sup_norm())
+        assert np.abs(pair.states - ref.states).max() <= 1e-13 * scale
+
+
+def test_cauchy_apply_overflow_raises():
+    s = sl.from_poly((0.0, 1e6j), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            regsolve.cauchy_apply(s, sl.Interval(0.0, 1.0),
+                                  sl.from_poly((1.0,), 1.0), panels=256)
 
 
 def test_wronskian_invariant():
