@@ -19,6 +19,11 @@ from .errors import (DomainError, GenerationError, NumericError,
                      UnsupportedInputError, ValidationError)
 from .potential import Antiderivative, Interval
 
+#: largest accepted --mesh and --angles; the work grows with both, so larger
+#: values are refused before anything is assembled
+MAX_MESH = 4096
+MAX_ANGLES = 1024
+
 
 def _parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j").replace(" ", ""))
@@ -269,6 +274,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.mesh > MAX_MESH:
+            raise ValidationError(f"--mesh {args.mesh} exceeds the limit {MAX_MESH}")
+        if args.angles > MAX_ANGLES:
+            raise ValidationError(f"--angles {args.angles} exceeds the limit {MAX_ANGLES}")
         return args.fn(args)
     except (ValidationError, DomainError, UnsupportedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,14 +9,20 @@ breakpoint and jump of s as a node, so delta contributions enter the
 potential matrix exactly instead of being smeared.  For a coefficient vector
 c the discrete form value is c^H (A - P) c; an optional gauge turns the form
 into  int |y' - k1 g y|^2 - k2 int g^2 |y|^2 - int s d|y|^2, the shape used
-by the scaled counterexample decomposition.
+by the scaled counterexample decomposition.  Every matrix is tridiagonal and
+is stored as its diagonal and off-diagonal; dense views are built on demand.
 
 Certified bounds on inf |l_I[y]| over the discrete unit sphere come from
 rotated Hermitian eigenproblems: |q| >= Re(e^{-i theta} q) makes every
 rotation's smallest eigenvalue a lower bound, while each eigenvector is an
-attained Rayleigh value and hence an upper-bound witness.  Discretization
-restricts to a subspace, so the continuum infimum can only be smaller than
-the discrete one; both bounds are reported.
+attained Rayleigh value and hence an upper-bound witness.  A complex form is
+swept by one batched kernel over all windows x rotations: Laguerre steps
+driven by the LDL^T pivot recurrence, Sturm-count multisection for the
+stragglers, and inverse iteration for the eigenvectors.  Its lower end is the
+largest shift with a positive definite factorization, backed off by the
+recurrence's backward error, so it is certified for the discrete pencil up to
+that error.  Discretization restricts to a subspace, so the continuum infimum
+can only be smaller than the discrete one; both bounds are reported.
 """
 
 from __future__ import annotations
@@ -84,22 +90,45 @@ class PiecewisePoly:
         return self._eval(x, derivative=True)
 
 
+def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class WindowForm:
-    """Assembled matrices of the window form on a zero-boundary hat basis."""
+    """Window form on a zero-boundary hat basis, as (diagonal, off-diagonal) pairs.
+
+    The dense matrices ``A``, ``P``, ``M`` and ``B`` are built on demand.
+    """
 
     interval: Interval
     n: int
     nodes: np.ndarray          # full mesh including the two boundary nodes
-    A: np.ndarray              # stiffness, real symmetric
-    P: np.ndarray              # potential matrix int s (phi_i phi_j)', complex symmetric
-    M: np.ndarray              # mass, real symmetric
-    B: np.ndarray              # form matrix: c^H B c is the form value
+    A_bands: tuple             # stiffness, real symmetric
+    P_bands: tuple             # potential matrix int s (phi_i phi_j)', complex symmetric
+    M_bands: tuple             # mass, real symmetric
+    B_bands: tuple             # form matrix: c^H B c is the form value
     gauge: tuple = None
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.M_bands[0].size
+
+    @property
+    def A(self) -> np.ndarray:
+        return _dense(*self.A_bands)
+
+    @property
+    def P(self) -> np.ndarray:
+        return _dense(*self.P_bands)
+
+    @property
+    def M(self) -> np.ndarray:
+        return _dense(*self.M_bands)
+
+    @property
+    def B(self) -> np.ndarray:
+        return _dense(*self.B_bands)
 
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
@@ -131,16 +160,6 @@ def _window_mesh(interval: Interval, n: int, breaks) -> np.ndarray:
         if not np.any(np.abs(mesh - t) == 0.0):
             raise AssemblyError(f"breakpoint {t} missing from the mesh")
     return mesh
-
-
-def _tridiag(diag: np.ndarray, off: np.ndarray, dtype) -> np.ndarray:
-    m = np.zeros((diag.size, diag.size), dtype=dtype)
-    np.fill_diagonal(m, diag)
-    if diag.size > 1:
-        idx = np.arange(diag.size - 1)
-        m[idx, idx + 1] = off
-        m[idx + 1, idx] = off
-    return m
 
 
 def _weighted_tridiags(fn, nodes: np.ndarray, rtol: float):
@@ -179,23 +198,23 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
         raise AssemblyError("mesh leaves no interior node")
 
     inv_h = 1.0 / h
-    A = _tridiag(inv_h[:-1] + inv_h[1:], -inv_h[1:-1], float)
-    M = _tridiag((h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0, float)
+    A = (inv_h[:-1] + inv_h[1:], -inv_h[1:-1])
+    M = ((h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0)
 
     i0, i1 = _weighted_tridiags(s.values, nodes, rtol)
     d_left = (-2.0 / h ** 2) * (xr * i0 - i1)       # int s (phi_l^2)'
     d_right = (2.0 / h ** 2) * (i1 - xl * i0)       # int s (phi_r^2)'
     o_mid = (1.0 / h ** 2) * ((xl + xr) * i0 - 2.0 * i1)
-    P = _tridiag(d_right[:-1] + d_left[1:], o_mid[1:-1], complex)
+    P = (d_right[:-1] + d_left[1:], o_mid[1:-1])
 
-    B = A.astype(complex) - P
+    b_diag, b_off = A[0] - P[0], A[1] - P[1]
     gauge_meta = None
     if gauge is not None:
         q0, q1 = _weighted_tridiags(g.values, nodes, rtol)
         ql = (-2.0 / h ** 2) * (xr * q0 - q1)
         qr = (2.0 / h ** 2) * (q1 - xl * q0)
         qo = (1.0 / h ** 2) * ((xl + xr) * q0 - 2.0 * q1)
-        Q = _tridiag((qr[:-1] + ql[1:]).real, qo[1:-1].real, float)
+        Q = ((qr[:-1] + ql[1:]).real, qo[1:-1].real)
 
         g2 = lambda x: np.abs(g.values(x)) ** 2
         j0 = quadrature.integrate_many(g2, nodes, rtol=rtol).real
@@ -204,13 +223,16 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
         r_ll = (xr ** 2 * j0 - 2.0 * xr * j1 + j2) / h ** 2
         r_rr = (xl ** 2 * j0 - 2.0 * xl * j1 + j2) / h ** 2
         r_lr = (-xl * xr * j0 + (xl + xr) * j1 - j2) / h ** 2
-        R = _tridiag(r_rr[:-1] + r_ll[1:], r_lr[1:-1], float)
+        R = (r_rr[:-1] + r_ll[1:], r_lr[1:-1])
 
-        B = B - kappa1 * Q + (kappa1 ** 2 - kappa2) * R
+        mix = kappa1 ** 2 - kappa2
+        b_diag = b_diag - kappa1 * Q[0] + mix * R[0]
+        b_off = b_off - kappa1 * Q[1] + mix * R[1]
         gauge_meta = (g, float(kappa1), float(kappa2))
 
-    return WindowForm(interval=interval, n=n, nodes=nodes,
-                      A=A, P=P, M=M, B=B, gauge=gauge_meta)
+    return WindowForm(interval=interval, n=n, nodes=nodes, A_bands=A,
+                      P_bands=P, M_bands=M, B_bands=(b_diag, b_off),
+                      gauge=gauge_meta)
 
 
 def form_value(w: WindowForm, c: np.ndarray) -> complex:
@@ -218,20 +240,11 @@ def form_value(w: WindowForm, c: np.ndarray) -> complex:
     c = np.asarray(c, dtype=complex)
     if c.shape != (w.dim,):
         raise ValidationError(f"coefficient vector must have shape ({w.dim},)")
-    return complex(c.conj() @ (w.B @ c))
-
-
-def _herm_parts(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian parts H1 = Herm(B), H2 = Herm(-iB) of the form matrix.
-
-    The form matrices here are complex symmetric (B^T = B), which makes both
-    parts real symmetric: H1 = Re B, H2 = Im B, and
-    Herm(e^{-i theta} B) = cos(theta) H1 + sin(theta) H2 for every rotation.
-    """
-    asym = float(np.max(np.abs(B - B.T))) if B.size else 0.0
-    if asym <= 1e-10 * max(1.0, float(np.max(np.abs(B)))):
-        return np.ascontiguousarray(B.real), np.ascontiguousarray(B.imag)
-    return 0.5 * (B + B.conj().T), -0.5j * (B - B.conj().T)
+    diag, off = w.B_bands
+    bc = diag * c
+    bc[:-1] += off * c[1:]
+    bc[1:] += off * c[:-1]
+    return complex(c.conj() @ bc)
 
 
 def _eigh_extreme(H: np.ndarray, M: np.ndarray, which: str = "min"):
@@ -247,9 +260,277 @@ def _eigh_extreme(H: np.ndarray, M: np.ndarray, which: str = "min"):
 
 def herm_lambda_min(w: WindowForm) -> float:
     """Smallest eigenvalue of (Herm(B), M): the semi-boundedness margin."""
-    H1, _H2 = _herm_parts(w.B)
-    val, _vec = _eigh_extreme(H1, w.M)
+    _check_finite(w)
+    val, _vec = _eigh_extreme(_dense(w.B_bands[0].real, w.B_bands[1].real), w.M)
     return val
+
+
+# -- batched tridiagonal pencil kernel ----------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+#: elements of one (mesh row x column) working array of the rotation sweep;
+#: the sweep runs chunk by chunk and holds about ten such arrays, so its
+#: memory stays near 3 MiB at any angle or window count and meshes up to 512
+_CHUNK_ELEMENTS = 1 << 15
+#: fewest columns per chunk: the row loops cost the same for few columns as
+#: for many, so finer meshes trade memory (still linear in the mesh) for time
+_CHUNK_COLUMNS = 64
+#: most columns converge in three or four Laguerre passes; the rest (clusters
+#: near lambda_1, steps that lost definiteness to rounding) are cheaper to
+#: finish by multisection, whose pass runs a shorter recurrence
+_LAGUERRE_PASSES = 5
+#: trial shifts per column in one multisection pass, at most
+_SECTIONS = 15
+#: backoff in units of eps times the eigenvector-weighted |H| + |x| |M|: the
+#: pivot recurrence's backward error, with room for the rounding of the
+#: rotation, the normalisation and the Rayleigh quotients of the samples
+_BACKWARD_EPS = 8.0
+
+
+def _check_finite(w: WindowForm) -> None:
+    for bands in (w.B_bands, w.M_bands):
+        for arr in bands:
+            if not np.all(np.isfinite(arr)):
+                raise NumericError("window form has non-finite matrix entries")
+
+
+def _gershgorin(d, o):
+    """Per column: the largest row sum of |T| and the Gershgorin lower bound."""
+    ao = np.abs(o[1:])
+    radius = np.zeros_like(d)
+    radius[1:] += ao
+    radius[:-1] += ao
+    return (np.abs(d) + radius).max(0), (d - radius).min(0)
+
+
+def _shifted(h, ho, m, mo, x, cols=None):
+    """Diagonal and couplings of H - x M, for the columns ``cols`` or all."""
+    if cols is None:
+        T, E = m * -x, mo * -x
+        T += h
+        E += ho
+    else:
+        T, E = m[:, cols], mo[:, cols]
+        T *= -x
+        T += h[:, cols]
+        E *= -x
+        E += ho[:, cols]
+    return T, E
+
+
+def _definite(T, E):
+    """Whether every LDL^T pivot d_i = T_i - E_i^2 / d_{i-1} is positive.
+
+    By Sylvester's law of inertia that holds exactly when the shift lies
+    below the smallest pencil eigenvalue.
+    """
+    E *= E
+    d = T[0]
+    pd = d > 0
+    for i in range(1, T.shape[0]):
+        d = T[i] - E[i] / d
+        pd &= d > 0
+    return pd
+
+
+def _laguerre_terms(T, E, m, mo):
+    """Definiteness and the log-determinant derivatives that drive Laguerre.
+
+    Alongside the pivots d_i of H - x M the recurrence carries u_i = d_i'/d_i
+    and v_i = d_i''/d_i (derivatives in x).  G = sum u_i and S = sum u_i^2 -
+    v_i equal sum 1/(x - lambda_j) and sum 1/(x - lambda_j)^2 over the
+    pencil eigenvalues lambda_j.
+    """
+    W = E * mo
+    W *= 2.0
+    E *= E
+    d = T[0]
+    pd = d > 0
+    u = -m[0] / d
+    uu = u * u
+    v = np.zeros_like(d)
+    G, S = u.copy(), uu.copy()
+    for i in range(1, T.shape[0]):
+        re = E[i] / d
+        w = W[i] / d
+        d1 = w - m[i] + re * u
+        d2 = re * (v - 2.0 * uu) - 2.0 * (mo[i] * mo[i] / d + w * u)
+        d = T[i] - re
+        pd &= d > 0
+        u = d1 / d
+        v = d2 / d
+        uu = u * u
+        G += u
+        S += uu - v
+    return pd, G, S
+
+
+def _quad(diag, off, v):
+    """v^T T v per column, T tridiagonal with couplings stored as in the kernel."""
+    return (diag * v * v).sum(0) + 2.0 * (off[1:] * v[:-1] * v[1:]).sum(0)
+
+
+def _pencil_floor(h, ho, m, mo, dims):
+    """Certified smallest eigenvalue and its eigenvector for a batch of pencils.
+
+    Column k holds the real symmetric tridiagonal pencil (H, M): diagonals
+    h[:, k] and m[:, k], and couplings ho[i, k], mo[i, k] between rows i-1
+    and i (row 0 unused).  M must be diagonally dominant, as every
+    hat-element mass matrix is.  Rows from dims[k] on are decoupled padding
+    whose eigenvalues are not below the smallest one.  The four arrays are
+    overwritten.
+
+    Each column is normalised by the Gershgorin magnitudes of H and M, so no
+    intermediate overflows, then stepped from its Gershgorin lower bound by
+    Laguerre's method, whose iterates stay below lambda_1 for a real-rooted
+    pencil.  Columns still moving after a few passes, or whose step lost
+    definiteness to rounding, are finished by multisection on the
+    definiteness test.  The bound is the largest shift found definite,
+    backed off by the recurrence's backward error as the eigenvector sees
+    it; two inverse-iteration (Thomas) solves at that shift give the vector.
+    """
+    n, K = h.shape
+    with np.errstate(all="ignore"):
+        gam_h, _ = _gershgorin(h, ho)
+        gam_h[gam_h == 0.0] = 1.0
+        gam_m, _ = _gershgorin(m, mo)
+        h /= gam_h
+        ho /= gam_h
+        m /= gam_m
+        mo /= gam_m
+        _, mu = _gershgorin(m, mo)
+        if not np.all(mu > 0):
+            raise NumericError("mass matrix is not diagonally dominant")
+        _, low = _gershgorin(h, ho)
+        lo = low / np.where(low >= 0, 1.0, mu)      # lambda_max(M) <= 1 now
+        hi = (h / m).min(0)                         # unit-vector quotients
+        # tolerance floor: eps times a lower estimate of the weighted size of
+        # |H| that sets the backoff
+        floor = 0.25 * (np.abs(h) / m).min(0)
+
+        # Laguerre phase: at a definite x the eigenvalues put lambda_1 in
+        # [x + L, x + |G|/S], L Laguerre's step
+        x = lo.copy()
+        near_hi = np.zeros(K, dtype=bool)
+        todo = np.arange(K)
+        left = []
+        for _ in range(_LAGUERRE_PASSES):
+            if todo.size == 0:
+                break
+            xs = x[todo]
+            cols = None if todo.size == K else todo
+            T, E = _shifted(h, ho, m, mo, xs, cols)
+            pd, G, S = _laguerre_terms(T, E, *((m, mo) if cols is None
+                                               else (m[:, cols], mo[:, cols])))
+            step = n / (-G + np.sqrt(np.maximum((n - 1) * (n * S - G * G), 0.0)))
+            lo[todo] = np.where(pd, xs, lo[todo])
+            bound = np.where(pd, np.where(G < 0, xs - G / S, np.inf), xs)
+            hi[todo] = np.minimum(hi[todo], bound)
+            usable = pd & np.isfinite(step) & (step > 0)
+            tol = _EPS * (4.0 * np.abs(xs) + floor[todo])
+            done = usable & ((step <= tol) | (hi[todo] - xs <= tol))
+            go = usable & ~done
+            # a Laguerre point that lost definiteness overshot by rounding
+            # only, so the root lies just below it
+            near_hi[todo[~pd]] = True
+            left.append(todo[~usable])
+            x[todo] = np.where(go, np.minimum(xs + step, hi[todo]), xs)
+            todo = todo[go]
+        left = np.concatenate(left + [todo])
+
+        # multisection, geometric towards the upper end after an overshoot
+        # and uniform otherwise; brackets at least halve per pass, so 64
+        # passes exceed any float range
+        for _ in range(64):
+            tol = _EPS * (4.0 * np.abs(lo[left]) + floor[left])
+            width = hi[left] - lo[left]
+            keep = width > tol
+            left, tol, width = left[keep], tol[keep], width[keep]
+            if left.size == 0:
+                break
+            k = min(_SECTIONS, max(1, K // left.size))
+            j = np.arange(1, k + 1)
+            pts = np.where(near_hi[left, None],
+                           hi[left, None] - width[:, None] * (tol / width)[:, None] ** (j / k),
+                           lo[left, None] + width[:, None] * (j / (k + 1)))
+            near_hi[left] = False
+            T, E = _shifted(h, ho, m, mo, pts.ravel(), np.repeat(left, k))
+            pd = _definite(T, E).reshape(-1, k)
+            fail = np.where(pd.all(1), k, pd.argmin(1))
+            rows = np.arange(left.size)
+            lo[left] = np.where(fail > 0, pts[rows, np.maximum(fail - 1, 0)], lo[left])
+            hi[left] = np.where(fail < k, pts[rows, np.minimum(fail, k - 1)], hi[left])
+
+        # LDL^T of H - lo M, pivots into T and multipliers into E, then
+        # inverse iteration from a start vector that vanishes on the padding
+        T, E = _shifted(h, ho, m, mo, lo)
+        for i in range(1, n):
+            mult = E[i] / T[i - 1]
+            T[i] -= mult * E[i]
+            T[i][T[i] == 0.0] = _EPS
+            E[i] = mult
+        rows = np.arange(n)[:, None]
+        vec = np.where(rows < dims, 0.5 + (rows * 0.6180339887498949) % 1.0, 0.0)
+        for _ in range(2):
+            y = m * vec
+            y[1:] += mo[1:] * vec[:-1]
+            y[:-1] += mo[1:] * vec[1:]
+            for i in range(1, n):
+                y[i] -= E[i] * y[i - 1]
+            y /= T
+            for i in range(n - 2, -1, -1):
+                y[i] -= E[i + 1] * y[i + 1]
+            y /= np.abs(y).max(0)
+            vec = y
+        del T, E
+
+        a = np.abs(lo)
+        size = _quad(np.abs(h) + a * m, np.abs(ho) + a * np.abs(mo), np.abs(vec))
+        lower = lo - _BACKWARD_EPS * _EPS * size / _quad(m, mo, vec)
+    return lower * (gam_h / gam_m), vec
+
+
+def _rotation_sweep(windows, thetas):
+    """Certified lambda_min and attained boundary sample per window and rotation.
+
+    The windows are padded to one dimension with decoupled copies of their
+    last row, whose eigenvalue is a Rayleigh quotient and so not below
+    lambda_min, and the kernel runs over columns window x rotation, one
+    chunk of at most ``_CHUNK_ELEMENTS`` array elements (or
+    ``_CHUNK_COLUMNS`` columns) at a time.
+    """
+    dims = np.asarray([w.dim for w in windows])
+    N, W, R = int(dims.max()), len(windows), thetas.size
+    bd = np.empty((N, W), dtype=complex)
+    bo = np.zeros((N, W), dtype=complex)
+    md = np.empty((N, W))
+    mo = np.zeros((N, W))
+    for k, w in enumerate(windows):
+        _check_finite(w)
+        d = w.dim
+        bd[:d, k], bo[1:d, k] = w.B_bands
+        md[:d, k], mo[1:d, k] = w.M_bands
+        bd[d:, k], md[d:, k] = bd[d - 1, k], md[d - 1, k]
+    parts = (bd.real.copy(), bo.real.copy(), bd.imag.copy(), bo.imag.copy())
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    lows = np.empty(W * R)
+    samples = np.empty(W * R, dtype=complex)
+    chunks = -(-W * R // max(_CHUNK_COLUMNS, _CHUNK_ELEMENTS // N))
+    for cols in np.array_split(np.arange(W * R), chunks):
+        win, rot = np.divmod(cols, R)
+        c, s = cos[rot], sin[rot]
+        h = parts[0][:, win] * c
+        h += parts[2][:, win] * s
+        ho = parts[1][:, win] * c
+        ho += parts[3][:, win] * s
+        lows[cols], vec = _pencil_floor(h, ho, md[:, win], mo[:, win], dims[win])
+        del h, ho
+        re = _quad(parts[0][:, win], parts[1][:, win], vec)
+        im = _quad(parts[2][:, win], parts[3][:, win], vec)
+        samples[cols] = (re + 1j * im) / _quad(md[:, win], mo[:, win], vec)
+    if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(samples))):
+        raise NumericError("rotation sweep produced non-finite values")
+    return lows.reshape(W, R), samples.reshape(W, R)
 
 
 @dataclass(frozen=True)
@@ -264,62 +545,77 @@ class RangeEstimate:
     lambda_mins: np.ndarray
 
 
+def _is_real(w: WindowForm) -> bool:
+    b_diag, b_off = w.B_bands
+    scale = max(1.0, float(np.abs(b_diag.real).max()),
+                float(np.abs(b_off.real).max(initial=0.0)))
+    imag = max(float(np.abs(b_diag.imag).max()),
+               float(np.abs(b_off.imag).max(initial=0.0)))
+    return imag <= 1e-14 * scale
+
+
+def _rotations(angles: int) -> np.ndarray:
+    if angles < 16:
+        raise ValidationError("rotation count must be >= 16")
+    return np.arange(angles) * (2.0 * math.pi / angles)
+
+
+def _real_range(w: WindowForm, thetas: np.ndarray) -> RangeEstimate:
+    """A real form's range is the interval between its extreme eigenvalues."""
+    _check_finite(w)
+    H1, M = _dense(w.B_bands[0].real, w.B_bands[1].real), w.M
+    lam_lo, v_lo = _eigh_extreme(H1, M, "min")
+    lam_hi, v_hi = _eigh_extreme(H1, M, "max")
+    lows = np.where(np.cos(thetas) >= 0.0, np.cos(thetas) * lam_lo,
+                    np.cos(thetas) * lam_hi)
+    samples = np.where(np.cos(thetas) >= 0.0, lam_lo, lam_hi).astype(complex)
+    lower = max(0.0, float(lows.max()))
+    if lam_lo < 0.0 < lam_hi:
+        # the real range is the whole interval, so 0 is attained; build
+        # the explicit witness by mixing the M-orthogonal extreme vectors
+        t = math.atan(math.sqrt(-lam_lo / lam_hi))
+        mix = math.cos(t) * v_lo + math.sin(t) * v_hi
+        norm = float(np.real(mix.conj() @ (M @ mix)))
+        upper = abs(complex(mix.conj() @ (w.B @ mix)) / norm)
+    else:
+        upper = min(abs(lam_lo), abs(lam_hi))
+    sector = sectors.fit_sector(np.asarray([lam_lo, lam_hi], dtype=complex),
+                                require_strict_args=False,
+                                translate_vertex=True)
+    return RangeEstimate(boundary=samples, sector=sector,
+                         inf_modulus_lower=lower, inf_modulus_upper=upper,
+                         rotations=thetas, lambda_mins=lows)
+
+
+def _swept_range(thetas, lows, samples) -> RangeEstimate:
+    sector = sectors.fit_sector(samples, require_strict_args=False,
+                                translate_vertex=True)
+    return RangeEstimate(boundary=samples, sector=sector,
+                         inf_modulus_lower=max(0.0, float(lows.max())),
+                         inf_modulus_upper=float(np.abs(samples).min()),
+                         rotations=thetas, lambda_mins=lows)
+
+
 def range_boundary(w: WindowForm, angles: int = 64) -> RangeEstimate:
     """Boundary sweep of the pencil (B, M) via rotated Hermitian eigenproblems.
 
     For each rotation theta the smallest eigenvalue of Herm(e^{-i theta} B)
     against M bounds Re(e^{-i theta} q) from below over the range, and its
-    eigenvector attains a boundary point.  The fitted sector is the minimal
-    one over the attained samples (vertex translated to a support point);
-    None when the samples span >= pi.
+    eigenvector attains a boundary point.  The assembled B is complex
+    symmetric, so Herm(e^{-i theta} B) = cos(theta) Re B + sin(theta) Im B.
+    The fitted sector is the minimal one over the attained samples (vertex
+    translated to a support point); None when the samples span >= pi.
 
     A real form matrix makes the numerical range the exact interval between
     the extreme pencil eigenvalues, so that case is resolved by a single
-    eigendecomposition instead of one per rotation.
+    dense eigendecomposition; a complex one goes through the batched
+    tridiagonal kernel, one column per rotation.
     """
-    if angles < 16:
-        raise ValidationError("rotation count must be >= 16")
-    thetas = np.arange(angles) * (2.0 * math.pi / angles)
-    H1, H2 = _herm_parts(w.B)
-
-    if float(np.max(np.abs(H2))) <= 1e-14 * max(1.0, float(np.max(np.abs(H1)))):
-        lam_lo, v_lo = _eigh_extreme(H1, w.M, "min")
-        lam_hi, v_hi = _eigh_extreme(H1, w.M, "max")
-        lows = np.where(np.cos(thetas) >= 0.0, np.cos(thetas) * lam_lo,
-                        np.cos(thetas) * lam_hi)
-        samples = np.where(np.cos(thetas) >= 0.0, lam_lo, lam_hi).astype(complex)
-        lower = max(0.0, float(lows.max()))
-        if lam_lo < 0.0 < lam_hi:
-            # the real range is the whole interval, so 0 is attained; build
-            # the explicit witness by mixing the M-orthogonal extreme vectors
-            t = math.atan(math.sqrt(-lam_lo / lam_hi))
-            mix = math.cos(t) * v_lo + math.sin(t) * v_hi
-            norm = float(np.real(mix.conj() @ (w.M @ mix)))
-            upper = abs(complex(mix.conj() @ (w.B @ mix)) / norm)
-        else:
-            upper = min(abs(lam_lo), abs(lam_hi))
-        sector = sectors.fit_sector(np.asarray([lam_lo, lam_hi], dtype=complex),
-                                    require_strict_args=False,
-                                    translate_vertex=True)
-        return RangeEstimate(boundary=samples, sector=sector,
-                             inf_modulus_lower=lower, inf_modulus_upper=upper,
-                             rotations=thetas, lambda_mins=lows)
-
-    lows = np.empty(angles)
-    samples = np.empty(angles, dtype=complex)
-    for j, theta in enumerate(thetas):
-        H = math.cos(theta) * H1 + math.sin(theta) * H2
-        val, vec = _eigh_extreme(H, w.M)
-        lows[j] = val
-        norm = float(np.real(vec.conj() @ (w.M @ vec)))
-        samples[j] = complex(vec.conj() @ (w.B @ vec)) / norm
-    lower = max(0.0, float(lows.max()))
-    upper = float(np.abs(samples).min())
-    sector = sectors.fit_sector(samples, require_strict_args=False,
-                                translate_vertex=True)
-    return RangeEstimate(boundary=samples, sector=sector,
-                         inf_modulus_lower=lower, inf_modulus_upper=upper,
-                         rotations=thetas, lambda_mins=lows)
+    thetas = _rotations(angles)
+    if _is_real(w):
+        return _real_range(w, thetas)
+    lows, samples = _rotation_sweep([w], thetas)
+    return _swept_range(thetas, lows[0], samples[0])
 
 
 def inf_modulus(w: WindowForm, angles: int = 64) -> tuple[float, float]:
@@ -367,18 +663,28 @@ def scan_windows(domain_end: float) -> list[Interval]:
 def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> ScanResult:
     """Per-window sector and inf-modulus table over both window families.
 
-    The summary re-fits one vertex for the hull of the per-window angles over
-    all boundary samples and flags whether the inf-modulus lower bounds are
+    Real windows take the single dense decomposition; all complex windows
+    are swept together in one batch of the tridiagonal kernel.  The summary
+    re-fits one vertex for the hull of the per-window angles over all
+    boundary samples and flags whether the inf-modulus lower bounds are
     non-decreasing along the window sequence.
     """
     if s.domain_end < 2.0:
         raise ValidationError("scan needs domain_end >= 2 for a full window pair")
+    thetas = _rotations(angles)
+    wins = scan_windows(s.domain_end)
+    assembled = [assemble(s, win, n) for win in wins]
+    swept = [k for k, w in enumerate(assembled) if not _is_real(w)]
+    ests = [None] * len(wins)
+    if swept:
+        lows, samples = _rotation_sweep([assembled[k] for k in swept], thetas)
+        for k, low, z in zip(swept, lows, samples):
+            ests[k] = _swept_range(thetas, low, z)
     rows = []
-    for win in scan_windows(s.domain_end):
-        w = assemble(s, win, n)
-        est = range_boundary(w, angles=angles)
+    for win, w, est in zip(wins, assembled, ests):
+        est = est or _real_range(w, thetas)
         rows.append(ScanRow(window=win, sector=est.sector,
-                            herm_lambda_min=herm_lambda_min(w),
+                            herm_lambda_min=float(est.lambda_mins[0]),
                             inf_lower=est.inf_modulus_lower,
                             inf_upper=est.inf_modulus_upper,
                             boundary=est.boundary))

@@ -179,6 +179,29 @@ def test_outputs_deterministic(tmp_path, quadratic_file):
     main(["analyze", "--potential", quadratic_file, "--out", str(out1)])
     main(["analyze", "--potential", quadratic_file, "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+    # a complex potential takes the batched rotation sweep
+    pot = tmp_path / "cx.json"
+    sl.save(sl.from_poly((0.5 + 0.3j, 1.0j, 0.25), 3.5), pot)
+    scans = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
+    for out in scans:
+        assert main(["scan", "--potential", str(pot), "--mesh", "48",
+                     "--angles", "16", "--out", str(out)]) == 0
+    assert scans[0].read_bytes() == scans[1].read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--mesh", "40000"), ("--angles", "1025")])
+def test_scan_rejects_absurd_sizes_before_assembly(tmp_path, quadratic_file,
+                                                   monkeypatch, capsys, flag, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be assembled for an absurd size")
+
+    monkeypatch.setattr(sl.forms, "assemble", refuse)
+    monkeypatch.setattr(sl.forms, "localization_scan", refuse)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--potential", quadratic_file, flag, value,
+                 "--out", str(out)]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_xmax_override(tmp_path, quadratic_file):

@@ -1,5 +1,6 @@
 """Unit tests for the FEM window forms, range estimates, and scans."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 
 import slcrit as sl
 from slcrit import forms, potential, quadrature, sampling
-from slcrit.errors import ValidationError
+from slcrit.errors import NumericError, ValidationError
 
 PI2 = math.pi ** 2
 
@@ -286,3 +287,96 @@ def test_piecewise_poly_eval_and_deriv():
     assert np.allclose(y.values(xs), [0.25, 0.75, 0.5])
     assert np.allclose(y.deriv_values(xs), [1.0, 1.0, -1.0])
     assert np.allclose(y.values(np.asarray([-1.0, 3.0])), 0.0)
+
+
+# -- batched tridiagonal kernel against the dense oracle -----------------------
+
+
+def _dense_floor(w, theta):
+    H = math.cos(theta) * w.B.real + math.sin(theta) * w.B.imag
+    return float(scipy.linalg.eigh(H, w.M, subset_by_index=[0, 0],
+                                   eigvals_only=True)[0])
+
+
+def _check_sweep(windows, angles=16):
+    thetas = np.arange(angles) * (2.0 * math.pi / angles)
+    lows, samples = forms._rotation_sweep(windows, thetas)
+    eps = np.finfo(float).eps
+    for w, low, zs in zip(windows, lows, samples):
+        for theta, lam, z in zip(thetas, low, zs):
+            dense = _dense_floor(w, theta)
+            scale = max(1.0, abs(dense))
+            assert abs(lam - dense) <= 1e-9 * scale
+            # certified: never above the dense value by more than rounding
+            assert lam <= dense + 64 * eps * scale
+            # each sample is an attained Rayleigh value of the rotated part
+            rotated = (np.exp(-1j * theta) * z).real
+            assert lam <= rotated + 64 * eps * max(1.0, abs(rotated))
+        est = forms.range_boundary(w, angles=angles)
+        assert est.inf_modulus_lower <= est.inf_modulus_upper
+    return lows
+
+
+def test_kernel_matches_dense_on_miura_corpus():
+    rng = np.random.default_rng(31)
+    windows = []
+    for k, n in enumerate((64, 128, 512)):
+        s = sl.miura(sampling.random_gamma(rng), 0.0)
+        windows.append(forms.assemble(s, sl.Interval(0.5 * k, 0.5 * k + 1.0), n))
+    for w in windows:
+        _check_sweep([w])
+
+
+def test_kernel_matches_dense_on_complex_slope_corpus():
+    rng = np.random.default_rng(32)
+    for n in (64, 128, 512):
+        c = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        s = sl.from_poly((complex(rng.normal(), rng.normal()), c), 2.0)
+        _check_sweep([forms.assemble(s, sl.Interval(0.5, 1.5), n)])
+
+
+def test_kernel_matches_dense_on_delta_corpus():
+    rng = np.random.default_rng(33)
+    for n in (64, 256):
+        positions = np.sort(rng.uniform(0.05, 0.95, size=3))
+        strengths = rng.normal(size=3) * 4.0 + 1j * rng.normal(size=3)
+        s = sl.delta_sum(positions.tolist(), strengths.tolist(), 1.0)
+        _check_sweep([forms.assemble(s, sl.Interval(0.0, 1.0), n)])
+
+
+def test_kernel_batch_pads_windows_of_different_dimensions():
+    rng = np.random.default_rng(34)
+    s = sampling.random_antiderivative(rng, domain_end=3.0, jumps=3)
+    windows = [forms.assemble(s, sl.Interval(0.0, 1.0), 48),
+               forms.assemble(s, sl.Interval(1.0, 2.5), 96),
+               forms.assemble(s, sl.Interval(2.0, 3.0), 64)]
+    assert len({w.dim for w in windows}) == 3
+    lows = _check_sweep(windows)
+    # batching changes nothing: each window alone gives the same bound
+    thetas = np.arange(16) * (2.0 * math.pi / 16)
+    for w, low in zip(windows, lows):
+        alone, _ = forms._rotation_sweep([w], thetas)
+        assert np.allclose(alone[0], low, rtol=1e-12, atol=1e-12)
+
+
+def test_kernel_on_indefinite_gauge_form():
+    theta, h = 0.5, 10.0
+    alpha = 1.0 - (1.0 - theta) ** (1.0 / 3.0)
+    _v, gam = sl.vh_profile(h)
+    w = forms.assemble(sl.zero(1.0), sl.Interval(0.0, 1.0), 128,
+                       gauge=(gam, 1.0, alpha))
+    lows = _check_sweep([w])
+    # the range straddles 0, so no rotation certifies a positive bound
+    assert lows.min() < -1.0
+    assert lows.max() <= 1e-12
+
+
+def test_non_finite_form_entries_raise():
+    w = forms.assemble(sl.from_poly((0.0, 1.0j), 1.0), sl.Interval(0.0, 1.0), 32)
+    diag, off = w.B_bands
+    bad = dataclasses.replace(w, B_bands=(np.where(np.arange(diag.size) == 5,
+                                                   np.nan, diag), off))
+    with pytest.raises(NumericError):
+        forms.range_boundary(bad, angles=16)
+    with pytest.raises(NumericError):
+        forms.herm_lambda_min(bad)
