@@ -110,24 +110,31 @@ class Verdict:
 # -- window functionals ------------------------------------------------------
 
 
-def window_deviation(s: Antiderivative, x: float, a: float):
-    """(c_min, dev, dbl) on the window [x, x+a] from exact variance identities.
+def window_deviations(s: Antiderivative, origins, a: float):
+    """(c_min, dev, dbl) arrays over the windows [x, x+a], x in origins.
 
     c_min = (int s)/a minimises int |s - c|^2; dev is that minimum; dbl is the
     double integral of |s(xi)-s(eta)|^2 over the window square, equal to
     2*(a * int|s|^2 - |int s|^2).  The two-sided bound
-    a*dev <= dbl <= 4*a*dev holds by construction.
+    a*dev <= dbl <= 4*a*dev holds by construction.  All windows share one
+    adaptive pass per moment (``potential.window_moments``).
     """
-    if a <= 0:
+    if not a > 0:
         raise DomainError("window length must be positive")
-    win = s.check_interval(Interval(x, x + a))
-    m = potential.moments(s, win)
-    c_min = m.m0 / a
-    dev = max(m.q2 - abs(m.m0) ** 2 / a, 0.0)
+    origins = np.atleast_1d(np.asarray(origins, dtype=float))
+    m0, q2 = potential.window_moments(s, origins, origins + a)
+    c_min = m0 / a
+    dev = np.maximum(q2 - np.abs(m0) ** 2 / a, 0.0)
     # same identity, clipped consistently with dev so the two-sided bound
     # a*dev <= dbl <= 4a*dev cannot be broken by roundoff at zero deviation
     dbl = 2.0 * a * dev
     return c_min, dev, dbl
+
+
+def window_deviation(s: Antiderivative, x: float, a: float):
+    """(c_min, dev, dbl) on the one window [x, x+a]; see ``window_deviations``."""
+    c_min, dev, dbl = window_deviations(s, x, a)
+    return complex(c_min[0]), float(dev[0]), float(dbl[0])
 
 
 def dbl_bruteforce(s: Antiderivative, x: float, a: float, n: int = 16) -> float:
@@ -147,13 +154,15 @@ def dbl_bruteforce(s: Antiderivative, x: float, a: float, n: int = 16) -> float:
 
 
 def _origins(end: float, a: float, step: float) -> np.ndarray:
-    """Window origins 0, step, 2 step, ... up to end - a, the last clipped to it."""
-    origins = []
-    t = 0.0
-    while t <= end - a + 1e-12:
-        origins.append(min(t, end - a))
-        t += step
-    return np.asarray(origins)
+    """Window origins 0, step, 2 step, ... up to end - a, the last clipped to it.
+
+    The running sum adds step once per origin, as a stepping loop would, so the
+    origins carry the same roundoff.
+    """
+    limit = end - a + 1e-12
+    n = max(int(math.floor(limit / step)) + 2, 0) if limit >= 0 else 0
+    t = np.concatenate([[0.0], np.cumsum(np.full(n, step))])
+    return np.minimum(t[t <= limit], end - a)
 
 
 def scan_necessary(s: Antiderivative, a: float,
@@ -166,41 +175,75 @@ def scan_necessary(s: Antiderivative, a: float,
     if not (0.0 < a <= s.domain_end):
         raise DomainError(f"window length {a} must lie in (0, {s.domain_end}]")
     origins = _origins(s.domain_end, a, a / 2.0)
-    values = [window_deviation(s, x, a)[2] for x in origins]
-    series = WindowSeries(a, origins, np.asarray(values))
+    series = WindowSeries(a, origins, window_deviations(s, origins, a)[2])
     refuted = bounded_trend(series.values, thresholds.growth_factor,
                             thresholds.dbl_bound)
     return series, refuted
 
 
-def _difference_cloud(s: Antiderivative, d: float, extra: Antiderivative = None,
-                      extra_t: Antiderivative = None, step: float = None):
-    """Sampled differences v(x) - w(t) over 0 <= x - t <= d on a panel grid.
+#: points per chunk of a streamed difference cloud
+CLOUD_CHUNK = 1 << 16
+#: a cloud of at most this many points (4 MB) keeps its chunks after the
+#: first pass instead of regenerating them
+CLOUD_HOLD = 1 << 18
+
+
+class DifferenceCloud:
+    """Sampled differences v(x) - w(t) over 0 <= x - t <= d, produced in chunks.
 
     v = s + extra (at the later point), w = s + extra_t (at the earlier one).
     Midpoint samples on cells split at breakpoints keep the cloud inside the
-    essential range of the pieces.
+    essential range of the pieces.  The points come lag by lag, lag 0 first,
+    in chunks of about CLOUD_CHUNK points.  A fit reads the cloud twice: a
+    cloud larger than CLOUD_HOLD points regenerates its chunks on each pass,
+    so it is never held whole; a smaller one keeps them after the first.
     """
-    step = step if step is not None else d / 64.0
-    breaks = set(s.breakpoints)
-    for other in (extra, extra_t):
-        if other is not None:
-            breaks.update(other.breakpoints)
-    n_cells = max(8, int(math.ceil(s.domain_end / step)))
-    grid, _w = quadrature.midpoint_cells(0.0, s.domain_end, sorted(breaks), n_cells)
-    v_late = s.values(grid) + (extra.values(grid) if extra is not None else 0.0)
-    v_early = s.values(grid) + (extra_t.values(grid) if extra_t is not None else 0.0)
-    max_lag = int(math.floor(d / step)) + 2
-    diffs = [v_late - v_early]
-    for lag in range(1, max_lag + 1):
-        if lag >= grid.size:
-            break
-        gaps = grid[lag:] - grid[:-lag]
-        inside = gaps <= d + 1e-12
-        if not np.any(inside):
-            break
-        diffs.append((v_late[lag:] - v_early[:-lag])[inside])
-    return np.concatenate(diffs) if diffs else np.asarray([], dtype=complex)
+
+    def __init__(self, s: Antiderivative, d: float, extra: Antiderivative = None,
+                 extra_t: Antiderivative = None, step: float = None):
+        step = step if step is not None else d / 64.0
+        breaks = set(s.breakpoints)
+        for other in (extra, extra_t):
+            if other is not None:
+                breaks.update(other.breakpoints)
+        n_cells = max(8, int(math.ceil(s.domain_end / step)))
+        grid, _w = quadrature.midpoint_cells(0.0, s.domain_end, sorted(breaks), n_cells)
+        base = s.values(grid)
+        self.grid = grid
+        self.v_late = base + (extra.values(grid) if extra is not None else 0.0)
+        self.v_early = base + (extra_t.values(grid) if extra_t is not None else 0.0)
+        self.d = d
+        # the lags that hold points: up to floor(d/step) + 2, stopping at the
+        # first lag with none
+        self.size = grid.size
+        self.lags = 0
+        for lag in range(1, min(int(math.floor(d / step)) + 2, grid.size - 1) + 1):
+            count = int(np.count_nonzero(self._inside(lag)))
+            if count == 0:
+                break
+            self.size += count
+            self.lags = lag
+        self._held = None
+
+    def _inside(self, lag: int) -> np.ndarray:
+        return self.grid[lag:] - self.grid[:-lag] <= self.d + 1e-12
+
+    def _chunks(self):
+        parts = [self.v_late - self.v_early]
+        held = parts[0].size
+        for lag in range(1, self.lags + 1):
+            if held >= CLOUD_CHUNK:
+                yield np.concatenate(parts)
+                parts, held = [], 0
+            part = (self.v_late[lag:] - self.v_early[:-lag])[self._inside(lag)]
+            parts.append(part)
+            held += part.size
+        yield np.concatenate(parts)
+
+    def __iter__(self):
+        if self._held is None and self.size <= CLOUD_HOLD:
+            self._held = list(self._chunks())
+        return iter(self._held) if self._held is not None else self._chunks()
 
 
 def brinck(s: Antiderivative, d: float = 1.0, a: float = 1.0,
@@ -216,8 +259,7 @@ def brinck(s: Antiderivative, d: float = 1.0, a: float = 1.0,
     """
     if not (0.0 < d <= 1.0):
         raise DomainError("difference depth d must lie in (0, 1]")
-    cloud = _difference_cloud(s, d)
-    sector = sectors.fit_sector(cloud, require_strict_args=True,
+    sector = sectors.fit_sector(DifferenceCloud(s, d), require_strict_args=True,
                                 translate_vertex=True)
     origins = _origins(s.domain_end, a, a / 4.0)
     growth = np.abs(s.values(origins + a) - s.values(origins))
@@ -257,7 +299,7 @@ def sector_fit(s: Antiderivative, d: float = 1.0,
     """
     if not (0.0 < d <= 1.0):
         raise DomainError("difference depth d must lie in (0, 1]")
-    cloud = _difference_cloud(s, d, extra=f, extra_t=g, step=step)
+    cloud = DifferenceCloud(s, d, extra=f, extra_t=g, step=step)
     return sectors.fit_sector(cloud, require_strict_args=True,
                               translate_vertex=False)
 
@@ -331,13 +373,9 @@ def decompose_unif(s: Antiderivative) -> UnifDecomposition:
     cells = int(math.floor(s.domain_end + 1e-12))
     if cells < 2:
         raise DomainError("decomposition needs domain_end >= 2")
-    C = np.zeros(cells, dtype=complex)
-    sig = np.zeros(cells)
-    for l in range(cells):
-        m = potential.moments(s, Interval(float(l), float(l + 1)))
-        C[l] = m.m0
-        sig[l] = max(m.q2 - abs(m.m0) ** 2, 0.0)
     nodes = np.arange(cells, dtype=float)           # beta(l-1) = C_l
+    C, q2 = potential.window_moments(s, nodes, nodes + 1.0)
+    sig = np.maximum(q2 - np.abs(C) ** 2, 0.0)
     tau = np.diff(C)
     jump_sup = float(np.max(np.abs(tau))) if tau.size else 0.0
     return UnifDecomposition(step_values=C,
@@ -409,9 +447,9 @@ def classify(s: Antiderivative, config: ClassifyConfig = ClassifyConfig()) -> Ve
     if config.base is not None:
         s0, eps = config.base
         sigma = potential.subtract(s, s0)
-        dev_values = [window_deviation(sigma, t, 1.0)[1]
-                      for t in _origins(s.domain_end, 1.0, 0.5)]
-        sigma_bounded = bounded_trend(np.asarray(dev_values), th.growth_factor,
+        dev_values = window_deviations(
+            sigma, _origins(s.domain_end, 1.0, 0.5), 1.0)[1]
+        sigma_bounded = bounded_trend(dev_values, th.growth_factor,
                                       th.deviation_bound)
         scaled_sector, _g, _h = brinck(potential.scale(s0, 1.0 + eps),
                                        config.d, config.a, th)

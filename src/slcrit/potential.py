@@ -23,6 +23,8 @@ offsets on top of whatever the pieces do.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -48,6 +50,8 @@ class PolyTerm:
             c = c[:-1]
         if len(c) > 4:
             raise ValidationError(f"polynomial degree {len(c) - 1} exceeds 3")
+        if not all(cmath.isfinite(v) for v in c):
+            raise ValidationError(f"polynomial coefficients {c} are not all finite")
         if not c:
             c = (0j,)
         object.__setattr__(self, "coeffs", c)
@@ -76,6 +80,9 @@ class RecipTerm:
     def __post_init__(self):
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "pole", float(self.pole))
+        if not (cmath.isfinite(self.c) and math.isfinite(self.pole)):
+            raise ValidationError(
+                f"reciprocal term {self.c}/(x - {self.pole}) is not finite")
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.c / (np.asarray(x, dtype=float) - self.pole)
@@ -129,9 +136,37 @@ class Interval:
         return self.b - self.a
 
 
+def _normal_piece(piece) -> tuple:
+    """The piece with its polynomial terms summed into one leading term.
+
+    The reciprocal terms keep their order, so evaluating the normal piece term
+    by term adds the same numbers in the same order as the packed table does.
+    """
+    polys = [t for t in piece if isinstance(t, PolyTerm)]
+    if not polys or (len(polys) == 1 and piece[0] is polys[0]):
+        normal = piece
+    else:
+        coeffs = [0j] * 4
+        for term in polys:
+            for k, c in enumerate(term.coeffs):
+                coeffs[k] += c
+        normal = (PolyTerm(tuple(coeffs)),) + tuple(t for t in piece
+                                                    if not isinstance(t, PolyTerm))
+    if not all(isinstance(t, (PolyTerm, RecipTerm)) for t in normal):
+        raise ValidationError(f"unknown term type in piece {piece!r}")
+    return normal
+
+
 @dataclass(frozen=True, eq=False)
 class Antiderivative:
-    """Piecewise model of s on [0, X]: breakpoints, term sums, jump offsets."""
+    """Piecewise model of s on [0, X]: breakpoints, term sums, jump offsets.
+
+    Each piece is kept as at most one leading ``PolyTerm`` followed by its
+    ``RecipTerm``s.  The first evaluation packs the pieces into a table (cubic
+    coefficients per piece, reciprocal amplitudes and poles in slots with a
+    count per piece) that, with the cumulative jumps, ``values`` evaluates
+    without a loop over pieces.
+    """
 
     domain_end: float
     breakpoints: tuple
@@ -141,19 +176,23 @@ class Antiderivative:
     def __post_init__(self):
         X = float(self.domain_end)
         bp = tuple(float(t) for t in self.breakpoints)
-        if X <= 0:
-            raise ValidationError("domain_end must be positive")
+        if not math.isfinite(X) or X <= 0:
+            raise ValidationError(f"domain_end {X} must be positive and finite")
+        if not all(math.isfinite(t) for t in bp):
+            raise ValidationError("breakpoints must be finite")
         if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != X:
             raise ValidationError("breakpoints must start at 0 and end at domain_end")
         if any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
             raise ValidationError("breakpoints must be strictly increasing")
-        pieces = tuple(tuple(piece) for piece in self.pieces)
+        pieces = tuple(_normal_piece(tuple(piece)) for piece in self.pieces)
         if len(pieces) != len(bp) - 1:
             raise ValidationError("need exactly one term sum per subinterval")
         jumps = tuple(sorted(((float(at), complex(off)) for at, off in self.jumps),
                              key=lambda j: j[0]))
         bpset = set(bp)
-        for at, _ in jumps:
+        for at, off in jumps:
+            if not cmath.isfinite(off):
+                raise ValidationError(f"jump offset {off} at {at} is not finite")
             if not (0.0 < at < X):
                 raise ValidationError(f"jump location {at} outside (0, {X})")
             if at not in bpset:
@@ -175,27 +214,57 @@ class Antiderivative:
         object.__setattr__(self, "_jump_locs", locs)
         object.__setattr__(self, "_jump_cum", np.concatenate([[0j], np.cumsum(offs)]))
 
+    @functools.cached_property
+    def _table(self) -> tuple:
+        """The packed pieces, built on first evaluation: ``coef[k]`` holds
+        c_k of every piece, reciprocal slot j holds the amplitude and pole of
+        the j-th reciprocal term of every piece that has one, and ``nrecip``
+        counts the slots each piece uses."""
+        cubics = [piece[0].coeffs if piece and isinstance(piece[0], PolyTerm) else ()
+                  for piece in self.pieces]
+        recips = [piece[1:] if cubic else piece for piece, cubic in zip(self.pieces, cubics)]
+        slots = max(map(len, recips))
+        n = len(self.pieces)
+        coef = np.asarray([c + (0j,) * (4 - len(c)) for c in cubics], dtype=complex)
+        amp = np.asarray([[t.c for t in r] + [0j] * (slots - len(r)) for r in recips],
+                         dtype=complex).reshape(n, slots)
+        pole = np.asarray([[t.pole for t in r] + [0.0] * (slots - len(r)) for r in recips],
+                          dtype=float).reshape(n, slots)
+        return (coef.T.copy(), amp.T.copy(), pole.T.copy(),
+                np.asarray([len(r) for r in recips]))
+
     # -- evaluation -------------------------------------------------------
+
+    def _pieces_at(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Term sum of piece idx[i] at x[i]: Horner on the gathered cubic, then
+        one masked pass per reciprocal slot, in the order of the terms."""
+        coef, amps, poles, nrecip = self._table
+        c = coef[:, idx]
+        out = c[3] * x + c[2]
+        out = out * x + c[1]
+        out = out * x + c[0]
+        for j, (amp, pole) in enumerate(zip(amps, poles)):
+            sel = np.flatnonzero(nrecip[idx] > j)
+            if sel.size == x.size:
+                out += amp[idx] / (x - pole[idx])
+            else:
+                k = idx[sel]
+                out[sel] += amp[k] / (x[sel] - pole[k])
+        return out
 
     def values(self, x) -> np.ndarray:
         """Vectorized right-continuous evaluation of s."""
         x = np.asarray(x, dtype=float)
-        if x.size and (x.min() < 0.0 or x.max() > self.domain_end):
+        flat = x.ravel()
+        if flat.size and not (flat.min() >= 0.0 and flat.max() <= self.domain_end):
             raise DomainError(
-                f"evaluation outside [0, {self.domain_end}]: "
-                f"range [{x.min()}, {x.max()}]")
-        idx = np.searchsorted(self._bp_arr, x.ravel(), side="right") - 1
+                f"evaluation outside [0, {self.domain_end}] or at NaN: "
+                f"range [{flat.min()}, {flat.max()}]")
+        idx = np.searchsorted(self._bp_arr, flat, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
-        out = np.zeros(x.size, dtype=complex)
-        for k in np.unique(idx):
-            sel = idx == k
-            xs = x.ravel()[sel]
-            acc = np.zeros(xs.size, dtype=complex)
-            for term in self.pieces[k]:
-                acc += term.values(xs)
-            out[sel] = acc
+        out = self._pieces_at(flat, idx)
         if len(self._jump_locs):
-            nj = np.searchsorted(self._jump_locs, x.ravel(), side="right")
+            nj = np.searchsorted(self._jump_locs, flat, side="right")
             out += self._jump_cum[nj]
         return out.reshape(x.shape)
 
@@ -209,7 +278,7 @@ class Antiderivative:
             raise DomainError(f"left limit needs x in (0, {self.domain_end}]")
         k = int(np.searchsorted(self._bp_arr, x, side="left")) - 1
         k = min(max(k, 0), len(self.pieces) - 1)
-        val = sum((term.values(np.asarray([x]))[0] for term in self.pieces[k]), 0j)
+        val = complex(self._pieces_at(np.asarray([float(x)]), np.asarray([k]))[0])
         nj = int(np.searchsorted(self._jump_locs, x, side="left"))
         return val + complex(self._jump_cum[nj])
 
@@ -242,14 +311,34 @@ class Moments:
     q2: float
 
 
+def window_moments(s: Antiderivative, starts, ends,
+                   rtol: float = quadrature.DEFAULT_RTOL) -> tuple:
+    """Moments m0 = int s and q2 = int |s|^2 over every window [starts_i, ends_i].
+
+    All windows go through one adaptive pass per moment; each window keeps the
+    tolerance of a separate call (its own scale, width and width floor).
+    Returns the arrays (m0, q2).
+    """
+    starts = np.atleast_1d(np.asarray(starts, dtype=float))
+    ends = np.atleast_1d(np.asarray(ends, dtype=float))
+    if starts.size and not (starts.min() >= 0.0 and ends.max() <= s.domain_end):
+        raise DomainError(f"windows outside [0, {s.domain_end}]: "
+                          f"[{starts.min()}, {ends.max()}]")
+    edges, first = quadrature.window_edges(starts, ends, s.breakpoints)
+    panel_first = first - np.arange(first.size)  # one edge per window is not a panel
+    m0 = np.add.reduceat(quadrature.integrate_many(
+        s.values, edges, rtol=rtol, first=first), panel_first)
+    q2 = np.add.reduceat(quadrature.integrate_many(
+        lambda x: np.abs(s.values(x)) ** 2, edges, rtol=rtol, first=first),
+        panel_first)
+    return m0, q2.real
+
+
 def moments(s: Antiderivative, interval: Interval, rtol: float = quadrature.DEFAULT_RTOL) -> Moments:
     """Adaptive panel-respecting moments of s over the interval."""
     s.check_interval(interval)
-    edges = quadrature.split_panels(interval.a, interval.b, s.breakpoints)
-    m0 = complex(quadrature.integrate_many(s.values, edges, rtol=rtol).sum())
-    q2 = complex(quadrature.integrate_many(
-        lambda x: np.abs(s.values(x)) ** 2, edges, rtol=rtol).sum())
-    return Moments(m0=m0, q2=q2.real)
+    m0, q2 = window_moments(s, interval.a, interval.b, rtol)
+    return Moments(m0=complex(m0[0]), q2=float(q2[0]))
 
 
 # -- constructors ----------------------------------------------------------
@@ -652,6 +741,10 @@ def save(s: Antiderivative, path) -> None:
         fh.write("\n")
 
 
+def _reject_constant(name: str):
+    raise ValidationError(f"non-finite number {name} in potential document")
+
+
 def load(path) -> Antiderivative:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        return from_dict(json.load(fh, parse_constant=_reject_constant))

@@ -2,9 +2,12 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import slcrit as sl
 from slcrit import verify
@@ -210,3 +213,81 @@ def test_xmax_override(tmp_path, quadratic_file):
                  "--mesh", "48", "--angles", "16", "--out", str(out)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))[1:]
     assert max(float(r[1]) for r in rows) <= 4.0
+
+
+# -- malformed and overflowing input in a memory-limited subprocess ----------------
+
+#: seconds a CLI subprocess may take on the robustness inputs
+BUDGET_S = 60.0
+
+
+def _poly_doc(path, X, coeffs):
+    text = json.dumps({"domain_end": X, "breakpoints": [0.0, X],
+                       "pieces": [[{"type": "poly", "re": list(coeffs),
+                                    "im": [0.0] * len(coeffs)}]],
+                       "jumps": []})
+    path.write_text(text)
+    return str(path)
+
+
+def test_analyze_nan_constant_exits_2(tmp_path, slcrit_subprocess):
+    src = _poly_doc(tmp_path / "nan.json", 10.0, [math.nan, 1.0, 0.0, 0.0])
+    assert "NaN" in (tmp_path / "nan.json").read_text()
+    run = slcrit_subprocess(["analyze", "--potential", src, "--out", tmp_path / "r.json"],
+                            timeout=BUDGET_S)
+    assert run.returncode == 2, run.stderr
+    assert "error: non-finite number NaN" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_analyze_overflowing_square_exits_1(tmp_path, slcrit_subprocess):
+    # s = 1e200 + x is finite, but |s|^2 overflows in the window moments
+    src = _poly_doc(tmp_path / "big.json", 10.0, [1e200, 1.0, 0.0, 0.0])
+    run = slcrit_subprocess(["analyze", "--potential", src, "--out", tmp_path / "r.json"],
+                            timeout=BUDGET_S)
+    assert run.returncode == 1, run.stderr
+    assert "numeric failure:" in run.stderr and "not finite" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@st.composite
+def _documents(draw):
+    """Potential documents of finite numbers with at most one special value
+    (NaN, an infinity, or a huge finite number) put in a drawn slot."""
+    X = draw(st.floats(1.0, 12.0))
+    cuts = sorted(set(draw(st.lists(st.floats(0.05, 0.95), max_size=3))))
+    bp = [0.0] + [c * X for c in cuts] + [X]
+    number = st.floats(-10.0, 10.0)
+    pieces = []
+    for t0, t1 in zip(bp, bp[1:]):
+        row = [{"type": "poly", "re": draw(st.lists(number, min_size=4, max_size=4)),
+                "im": draw(st.lists(number, min_size=4, max_size=4))}]
+        if draw(st.booleans()):
+            row.append({"type": "recip", "c_re": draw(number), "c_im": draw(number),
+                        "pole": draw(st.sampled_from([t0 - 0.5, t1 + 0.5]))})
+        pieces.append(row)
+    jumps = [{"at": t, "re": draw(number), "im": draw(number)}
+             for t in bp[1:-1] if draw(st.booleans())]
+    special = draw(st.sampled_from([None, math.nan, math.inf, -math.inf, 1e300, -1e200]))
+    if special is not None:
+        slots = [(term, key) for row in pieces for term in row
+                 for key in (("re", "im") if term["type"] == "poly" else ("c_re", "pole"))]
+        slots += [(jump, "re") for jump in jumps]
+        term, key = draw(st.sampled_from(slots))
+        if isinstance(term[key], list):
+            term[key][draw(st.integers(0, 3))] = special
+        else:
+            term[key] = special
+    return {"domain_end": X, "breakpoints": bp, "pieces": pieces, "jumps": jumps}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_documents())
+def test_analyze_any_document_ends_in_an_exit_code(tmp_path, slcrit_subprocess, doc):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    run = slcrit_subprocess(["analyze", "--potential", src, "--out", tmp_path / "r.json"],
+                            timeout=BUDGET_S)
+    assert run.returncode in (0, 1, 2), run.stderr
+    assert "Traceback" not in run.stderr

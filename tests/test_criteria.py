@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import slcrit as sl
-from slcrit import criteria, sampling
+from slcrit import criteria, quadrature, sampling, sectors
 from slcrit.errors import DomainError, UnsupportedInputError
 
 
@@ -294,3 +294,107 @@ def test_classify_perturbation_windows_clip_to_domain():
     assert "perturbation" in {e.rule for e in v.evidence}
     series, _ = criteria.scan_necessary(s, 1.0)
     assert series.origins[-1] == X - 1.0
+
+
+# -- the all-windows pass ------------------------------------------------------------
+
+#: inputs of the window oracles: random complex cubics with jumps, Miura, s1, s2
+ORACLE_KINDS = ("random0", "random1", "random2", "miura0", "miura1", "s1", "s2")
+
+
+def _origins_loop(end, a, step):
+    origins = []
+    t = 0.0
+    while t <= end - a + 1e-12:
+        origins.append(min(t, end - a))
+        t += step
+    return np.asarray(origins)
+
+
+def test_origins_match_stepping_loop():
+    for end, a, step in ((12.0, 1.0, 0.5), (7.3, 0.3, 0.15), (10.0, 0.7, 0.175),
+                         (3.0 - 1e-13, 1.0, 0.5), (1.0, 1.0, 0.5), (0.5, 1.0, 0.5)):
+        assert np.array_equal(criteria._origins(end, a, step), _origins_loop(end, a, step))
+
+
+def test_window_deviations_match_one_window_calls(corpus):
+    for name, s in corpus:
+        if name not in ORACLE_KINDS:
+            continue
+        origins = criteria._origins(s.domain_end, 1.0, 0.5)
+        c_min, dev, dbl = criteria.window_deviations(s, origins, 1.0)
+        for x, c, v, d in zip(origins, c_min, dev, dbl):
+            one = sl.window_deviation(s, x, 1.0)
+            assert abs(one[0] - c) <= 1e-12 * max(abs(c), 1.0), (name, x)
+            assert abs(one[1] - v) <= 1e-12 * max(abs(v), 1.0), (name, x)
+            assert abs(one[2] - d) <= 1e-12 * max(abs(d), 1.0), (name, x)
+
+
+def test_every_scan_window_matches_bruteforce(corpus):
+    for name, s in corpus:
+        if name not in ORACLE_KINDS:
+            continue
+        series, _ = criteria.scan_necessary(s, 1.0)
+        for x, value in series.rows():
+            brute = sl.dbl_bruteforce(s, x, 1.0, n=32)
+            assert abs(value - brute) <= 1e-8 * max(abs(brute), 1.0), (name, x)
+
+
+def test_decomposition_and_perturbation_use_all_windows(corpus):
+    s = dict(corpus)["random0"]
+    dec = criteria.decompose_unif(s)
+    for l, c in enumerate(dec.step_values):
+        assert c == sl.moments(s, sl.Interval(float(l), l + 1.0)).m0
+    base = sl.from_poly((0.0, 0.0, 0.5), s.domain_end)
+    v = sl.classify(sl.add(base, s), criteria.ClassifyConfig(base=(base, 0.1)))
+    assert "perturbation" in {e.rule for e in v.evidence}
+
+
+# -- streamed sector fits ------------------------------------------------------------
+
+
+def _difference_cloud(s, d, extra=None, extra_t=None, step=None):
+    """The whole difference cloud in one array, as the fits once built it."""
+    step = step if step is not None else d / 64.0
+    breaks = set(s.breakpoints)
+    for other in (extra, extra_t):
+        if other is not None:
+            breaks.update(other.breakpoints)
+    n_cells = max(8, int(math.ceil(s.domain_end / step)))
+    grid, _w = quadrature.midpoint_cells(0.0, s.domain_end, sorted(breaks), n_cells)
+    v_late = s.values(grid) + (extra.values(grid) if extra is not None else 0.0)
+    v_early = s.values(grid) + (extra_t.values(grid) if extra_t is not None else 0.0)
+    max_lag = int(math.floor(d / step)) + 2
+    diffs = [v_late - v_early]
+    for lag in range(1, max_lag + 1):
+        if lag >= grid.size:
+            break
+        gaps = grid[lag:] - grid[:-lag]
+        inside = gaps <= d + 1e-12
+        if not np.any(inside):
+            break
+        diffs.append((v_late[lag:] - v_early[:-lag])[inside])
+    return np.concatenate(diffs)
+
+
+@pytest.mark.parametrize("chunk, hold", [(1 << 16, 1 << 18), (1000, 0)])
+def test_streamed_fits_equal_whole_cloud_fits(corpus, monkeypatch, chunk, hold):
+    monkeypatch.setattr(criteria, "CLOUD_CHUNK", chunk)
+    monkeypatch.setattr(criteria, "CLOUD_HOLD", hold)
+    trio = [("x", sl.from_poly((0.3, 1.0), 12.0)), ("x2", sl.from_poly((0.0, 0.0, 0.5), 12.0)),
+            ("ix", sl.from_poly((-1.5, 1.0j), 12.0))]
+    f = sl.from_poly((0.0, 0.25j), 6.0)
+    g = sl.delta_sum([1.5], [0.5], 6.0)
+    for name, s in list(corpus) + trio:
+        for d in (1.0, 0.4):
+            cloud = _difference_cloud(s, d)
+            assert criteria.DifferenceCloud(s, d).size == cloud.size
+            assert np.array_equal(np.concatenate(list(criteria.DifferenceCloud(s, d))), cloud)
+            assert criteria.brinck(s, d)[0] == sectors.fit_sector(
+                cloud, require_strict_args=True, translate_vertex=True), (name, d)
+            assert criteria.sector_fit(s, d) == sectors.fit_sector(
+                cloud, require_strict_args=True, translate_vertex=False), (name, d)
+        if s.domain_end == 6.0:
+            cloud = _difference_cloud(s, 1.0, extra=f, extra_t=g, step=0.05)
+            assert criteria.sector_fit(s, 1.0, f=f, g=g, step=0.05) == sectors.fit_sector(
+                cloud, require_strict_args=True, translate_vertex=False), name

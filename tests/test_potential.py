@@ -1,13 +1,16 @@
 """Unit tests for the exact piecewise antiderivative models."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import slcrit as sl
 from slcrit import potential, quadrature, sampling
-from slcrit.errors import (DomainError, UnsupportedInputError, ValidationError)
+from slcrit.errors import (DomainError, NumericError, UnsupportedInputError,
+                           ValidationError)
+from slcrit.potential import PolyTerm, RecipTerm
 
 
 def test_eval_identity_piece():
@@ -229,3 +232,156 @@ def test_adaptive_quadrature_near_pole():
     # sharp reciprocal: int_{0.1}^{1} x^-2 dx = 9
     val = quadrature.integrate(lambda x: x ** -2.0, 0.1, 1.0)
     assert val.real == pytest.approx(9.0, rel=1e-10)
+
+
+# -- packed evaluation against the term-by-term sum --------------------------
+
+
+def _term_sum(s, x, side="right"):
+    """s at x by a loop over pieces and terms, plus the cumulative jumps.
+
+    ``side="left"`` gives the left limits, as ``left_limit`` does.
+    """
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(np.asarray(s.breakpoints), x, side=side) - 1,
+                  0, len(s.pieces) - 1)
+    out = np.zeros(x.size, dtype=complex)
+    for k in np.unique(idx):
+        sel = idx == k
+        acc = np.zeros(int(sel.sum()), dtype=complex)
+        for term in s.pieces[k]:
+            acc += term.values(x[sel])
+        out[sel] = acc
+    cum = np.concatenate([[0j], np.cumsum([off for _at, off in s.jumps])])
+    return out + cum[np.searchsorted([at for at, _off in s.jumps], x, side=side)]
+
+
+def test_packed_values_equal_term_sum(corpus):
+    rng = np.random.default_rng(5)
+    for name, s in corpus:
+        bp = np.asarray(s.breakpoints)
+        xs = np.concatenate([bp, np.nextafter(bp[1:], 0.0), [at for at, _ in s.jumps],
+                             rng.uniform(0.0, s.domain_end, 500),
+                             np.linspace(0.0, s.domain_end, 257)])
+        assert np.array_equal(s.values(xs), _term_sum(s, xs)), name
+        assert s.values(xs.reshape(-1, 1)).shape == (xs.size, 1)
+        inner = bp[1:]
+        assert np.array_equal([s.left_limit(t) for t in inner],
+                              _term_sum(s, inner, side="left")), name
+
+
+def test_packed_values_equal_term_sum_on_profiles():
+    for h in (3.7, 10.0, 100.0, 1000.0):
+        _v, gamma = sl.vh_profile(h)
+        xs = np.concatenate([gamma.breakpoints, np.linspace(0.0, 1.0, 1001)])
+        assert np.array_equal(gamma.values(xs), _term_sum(gamma, xs))
+
+
+def test_pieces_normalised_to_one_leading_polynomial():
+    piece = (RecipTerm(1.0, -1.0), PolyTerm((1.0, 2.0)), RecipTerm(2.0, 3.0),
+             PolyTerm((0.5, 0.0, 1.0j)))
+    s = sl.Antiderivative(2.0, (0.0, 2.0), (piece,))
+    assert s.pieces[0] == (PolyTerm((1.5, 2.0, 1.0j)), RecipTerm(1.0, -1.0),
+                           RecipTerm(2.0, 3.0))
+    xs = np.linspace(0.0, 2.0, 9)
+    want = 1.5 + 2.0 * xs + 1.0j * xs ** 2 + 1.0 / (xs + 1.0) + 2.0 / (xs - 3.0)
+    assert np.allclose(s.values(xs), want, rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected(bad):
+    with pytest.raises(ValidationError):
+        PolyTerm((1.0, bad))
+    with pytest.raises(ValidationError):
+        PolyTerm((complex(0.0, bad),))
+    with pytest.raises(ValidationError):
+        RecipTerm(bad, 2.0)
+    with pytest.raises(ValidationError):
+        RecipTerm(1.0, bad)
+    with pytest.raises(ValidationError):
+        sl.Antiderivative(bad, (0.0, 1.0), ((),))
+    with pytest.raises(ValidationError):
+        sl.Antiderivative(2.0, (0.0, bad, 2.0), ((), ()))
+    with pytest.raises(ValidationError):
+        sl.Antiderivative(2.0, (0.0, 1.0, 2.0), ((), ()), ((1.0, bad),))
+    with pytest.raises(ValidationError):
+        sl.Antiderivative(2.0, (0.0, 1.0, 2.0), ((), ()), ((bad, 1.0),))
+
+
+def test_non_finite_constants_in_documents_rejected(tmp_path):
+    doc = potential.to_dict(sl.from_poly((0.0, 1.0), 2.0))
+    for token in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace('"domain_end": 2.0',
+                                                f'"domain_end": {token}'))
+        with pytest.raises(ValidationError, match=token):
+            potential.load(path)
+    # a literal too large for a double parses to inf and is caught by the terms
+    doc["pieces"][0][0]["re"][1] = 1e400
+    with pytest.raises(ValidationError):
+        potential.from_dict(doc)
+
+
+def test_values_reject_nan_abscissae():
+    s = sl.from_poly((0.0, 1.0), 2.0)
+    with pytest.raises(DomainError):
+        s.values(np.asarray([0.5, math.nan]))
+    assert s.values(np.asarray([])).shape == (0,)
+
+
+# -- the adaptive loop over many windows -----------------------------------------
+
+
+def test_window_edges_match_split_panels(corpus):
+    rng = np.random.default_rng(8)
+    for name, s in corpus:
+        starts = np.concatenate([rng.uniform(0.0, s.domain_end - 1.0, 40),
+                                 np.asarray(s.breakpoints[:-1])])
+        ends = np.minimum(starts + rng.uniform(0.05, 1.0, starts.size), s.domain_end)
+        edges, first = quadrature.window_edges(starts, ends, s.breakpoints)
+        runs = np.split(edges, first[1:])
+        for a, b, run in zip(starts, ends, runs):
+            assert np.array_equal(run, quadrature.split_panels(a, b, s.breakpoints)), name
+    # breakpoints closer than the floor to an edge are left out
+    for bp in ([0.5, 0.5 + 1e-16, 1.0 - 1e-16], [1e-16, 0.25]):
+        edges, _first = quadrature.window_edges(0.0, 1.0, bp)
+        assert np.array_equal(edges, quadrature.split_panels(0.0, 1.0, bp))
+
+
+def test_all_windows_pass_equals_separate_calls(corpus):
+    for name, s in corpus:
+        if name == "vh1000":
+            continue  # its |s|^2 is noise-limited next to the poles, see below
+        starts = np.arange(0.0, s.domain_end - 0.75, 0.375)
+        m0, q2 = potential.window_moments(s, starts, starts + 0.75)
+        for a, want0, want2 in zip(starts, m0, q2):
+            one = sl.moments(s, sl.Interval(a, a + 0.75))
+            assert (one.m0, one.q2) == (want0, want2), (name, a)
+
+
+def test_adaptive_loop_raises_on_non_finite_estimate():
+    with pytest.raises(NumericError, match="not finite"):
+        quadrature.integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+    s = sl.from_poly((1e200, 1.0), 4.0)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        sl.moments(s, sl.Interval(0.0, 1.0))
+
+
+def test_adaptive_loop_has_an_evaluation_budget(monkeypatch):
+    # an integrand whose panel estimates never agree: noise
+    noise = np.random.default_rng(3)
+    monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", 5000)
+    with pytest.raises(NumericError, match="5000 panel evaluations"):
+        quadrature.integrate(lambda x: noise.standard_normal(x.size), 0.0, 1.0)
+    # a near-pole integrand still converges well inside the budget
+    assert quadrature.integrate(lambda x: x ** -2.0, 1e-3, 1.0).real == \
+        pytest.approx(999.0, rel=1e-10)
+
+
+def test_noise_limited_moment_fails_within_budget():
+    # gamma of the h = 1000 profile has a pole 1.5e-9 left of the piece
+    # [0.499997, 0.5]: x - p loses 8 digits, so |gamma|^2 carries relative
+    # noise far above rtol and the bisection cannot converge
+    _v, gamma = sl.vh_profile(1000.0)
+    with pytest.raises(NumericError, match="panel evaluations"):
+        sl.moments(gamma, sl.Interval(0.0, 0.75))
