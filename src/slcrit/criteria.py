@@ -133,8 +133,11 @@ def window_deviations(s: Antiderivative, origins, a: float):
 
 def window_deviation(s: Antiderivative, x: float, a: float):
     """(c_min, dev, dbl) on the one window [x, x+a]; see ``window_deviations``."""
-    c_min, dev, dbl = window_deviations(s, x, a)
-    return complex(c_min[0]), float(dev[0]), float(dbl[0])
+    if not a > 0:
+        raise DomainError("window length must be positive")
+    m = potential.moments(s, s.check_interval(Interval(x, x + a)))
+    dev = max(m.q2 - abs(m.m0) ** 2 / a, 0.0)
+    return m.m0 / a, dev, 2.0 * a * dev
 
 
 def dbl_bruteforce(s: Antiderivative, x: float, a: float, n: int = 16) -> float:
@@ -183,9 +186,6 @@ def scan_necessary(s: Antiderivative, a: float,
 
 #: points per chunk of a streamed difference cloud
 CLOUD_CHUNK = 1 << 16
-#: a cloud of at most this many points (4 MB) keeps its chunks after the
-#: first pass instead of regenerating them
-CLOUD_HOLD = 1 << 18
 
 
 class DifferenceCloud:
@@ -194,9 +194,8 @@ class DifferenceCloud:
     v = s + extra (at the later point), w = s + extra_t (at the earlier one).
     Midpoint samples on cells split at breakpoints keep the cloud inside the
     essential range of the pieces.  The points come lag by lag, lag 0 first,
-    in chunks of about CLOUD_CHUNK points.  A fit reads the cloud twice: a
-    cloud larger than CLOUD_HOLD points regenerates its chunks on each pass,
-    so it is never held whole; a smaller one keeps them after the first.
+    in chunks of about CLOUD_CHUNK points, made afresh on every pass, so the
+    cloud is never held whole.
     """
 
     def __init__(self, s: Antiderivative, d: float, extra: Antiderivative = None,
@@ -223,12 +222,11 @@ class DifferenceCloud:
                 break
             self.size += count
             self.lags = lag
-        self._held = None
 
     def _inside(self, lag: int) -> np.ndarray:
         return self.grid[lag:] - self.grid[:-lag] <= self.d + 1e-12
 
-    def _chunks(self):
+    def __iter__(self):
         parts = [self.v_late - self.v_early]
         held = parts[0].size
         for lag in range(1, self.lags + 1):
@@ -239,11 +237,6 @@ class DifferenceCloud:
             parts.append(part)
             held += part.size
         yield np.concatenate(parts)
-
-    def __iter__(self):
-        if self._held is None and self.size <= CLOUD_HOLD:
-            self._held = list(self._chunks())
-        return iter(self._held) if self._held is not None else self._chunks()
 
 
 def brinck(s: Antiderivative, d: float = 1.0, a: float = 1.0,

@@ -315,8 +315,11 @@ def window_moments(s: Antiderivative, starts, ends,
                    rtol: float = quadrature.DEFAULT_RTOL) -> tuple:
     """Moments m0 = int s and q2 = int |s|^2 over every window [starts_i, ends_i].
 
-    All windows go through one adaptive pass per moment; each window keeps the
-    tolerance of a separate call (its own scale, width and width floor).
+    The windows go through one adaptive pass per moment, in batches of about
+    ``quadrature.BATCH_PANELS`` panels, so that the evaluation budget of a
+    pass does not grow with the number of windows.  Each window keeps the
+    tolerance of a separate call (its own scale, width and width floor), and
+    its integrals do not depend on the windows it shares a pass with.
     Returns the arrays (m0, q2).
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
@@ -325,13 +328,21 @@ def window_moments(s: Antiderivative, starts, ends,
         raise DomainError(f"windows outside [0, {s.domain_end}]: "
                           f"[{starts.min()}, {ends.max()}]")
     edges, first = quadrature.window_edges(starts, ends, s.breakpoints)
-    panel_first = first - np.arange(first.size)  # one edge per window is not a panel
-    m0 = np.add.reduceat(quadrature.integrate_many(
-        s.values, edges, rtol=rtol, first=first), panel_first)
-    q2 = np.add.reduceat(quadrature.integrate_many(
-        lambda x: np.abs(s.values(x)) ** 2, edges, rtol=rtol, first=first),
-        panel_first)
-    return m0, q2.real
+    sums = first - np.arange(first.size)    # each window's first panel
+    m0 = np.empty(first.size, dtype=complex)
+    q2 = np.empty(first.size)
+    lo = 0
+    while lo < first.size:
+        # the windows that start within BATCH_PANELS panels of this batch
+        hi = max(lo + 1, int(sums.searchsorted(sums[lo] + quadrature.BATCH_PANELS)))
+        cut = edges[first[lo]:first[hi] if hi < first.size else None]
+        runs, at = first[lo:hi] - first[lo], sums[lo:hi] - sums[lo]
+        m0[lo:hi] = np.add.reduceat(quadrature.integrate_many(
+            s.values, cut, rtol=rtol, first=runs), at)
+        q2[lo:hi] = np.add.reduceat(quadrature.integrate_many(
+            lambda x: np.abs(s.values(x)) ** 2, cut, rtol=rtol, first=runs), at).real
+        lo = hi
+    return m0, q2
 
 
 def moments(s: Antiderivative, interval: Interval, rtol: float = quadrature.DEFAULT_RTOL) -> Moments:

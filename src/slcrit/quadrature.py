@@ -22,30 +22,17 @@ DEFAULT_RTOL = 1e-10
 
 _WIDTH_FLOOR = 1e-14
 
-#: panel evaluations one call of the adaptive loop may spend before it gives
-#: up, like QUADPACK's ``limit``.  It bounds time and memory (below 0.2 s and
-#: 150 MB) when a finite integrand never meets the tolerance, e.g. when the
-#: rounding noise of x - p next to a pole exceeds rtol.  The largest scan of
-#: the benchmark inputs (s2, three blocks, X = 3444) spends 31k.
+#: panel evaluations one call of the adaptive loop may spend, the first level
+#: included, before it gives up, like QUADPACK's ``limit``.  It bounds time and
+#: memory when a finite integrand never meets the tolerance, e.g. when the
+#: rounding noise of x - p next to a pole exceeds rtol (``vh_profile(1000)``
+#: on [0, 0.75] gives up after 0.2 s and 220 MB).  Callers with many windows
+#: pass them in batches of at most BATCH_PANELS panels; the largest scan of
+#: the benchmark inputs (s2, three blocks, X = 3444) spends 31k in one batch.
 MAX_EVALUATIONS = 1 << 19
 
-
-def split_panels(a: float, b: float, breakpoints=()) -> np.ndarray:
-    """Panel edges on [a, b]: a, b plus every interior breakpoint.
-
-    Panels thinner than ~1e-14 of the interval scale are merged into a
-    neighbour so degenerate edges cannot stall the adaptive loop.
-    """
-    if not (b > a):
-        raise DomainError(f"empty integration interval [{a}, {b}]")
-    floor = _WIDTH_FLOOR * max(abs(a), abs(b), b - a, 1.0)
-    cuts = np.sort(np.asarray([t for t in breakpoints if a < t < b], dtype=float))
-    edges = [a]
-    for t in cuts:
-        if t - edges[-1] >= floor and b - t >= floor:
-            edges.append(float(t))
-    edges.append(b)
-    return np.asarray(edges)
+#: first-level panels in one batch of windows (``potential.window_moments``)
+BATCH_PANELS = 1 << 14
 
 
 def window_edges(starts, ends, breakpoints) -> tuple:
@@ -53,11 +40,10 @@ def window_edges(starts, ends, breakpoints) -> tuple:
 
     ``breakpoints`` must be increasing.  Window i contributes the run
     ``starts_i, interior breakpoints, ends_i``; returns the concatenated runs
-    and the index where each run begins.  As in ``split_panels``, a
-    breakpoint within ~1e-14 of the window scale of the window start, of the
-    breakpoint before it or of the window end is left out.  (``split_panels``
-    measures from the last edge it kept; the two differ only on three or more
-    breakpoints packed within that distance.)
+    and the index where each run begins.  Panels thinner than ~1e-14 of the
+    window scale are avoided so degenerate edges cannot stall the adaptive
+    loop: a breakpoint that close to the window start, to the breakpoint
+    before it or to the window end is left out.
     """
     a = np.asarray(starts, dtype=float).ravel()
     b = np.asarray(ends, dtype=float).ravel()
@@ -84,6 +70,12 @@ def window_edges(starts, ends, breakpoints) -> tuple:
     runs[first] = runs[first + inner + 1] = False
     edges[runs] = t[keep]
     return edges, first
+
+
+def split_panels(a: float, b: float, breakpoints=()) -> np.ndarray:
+    """Panel edges on [a, b]: a, b plus the interior breakpoints that
+    ``window_edges`` keeps for the one window [a, b]."""
+    return window_edges(a, b, sorted(breakpoints))[0]
 
 
 def _gl_panels(fn, bounds, fixed_order: bool = False) -> list:
@@ -138,8 +130,9 @@ def integrate_many(fn, edges, rtol: float = DEFAULT_RTOL, max_depth: int = 40,
     keeps the BLAS rule products and pairwise sums of a single contiguous
     window.
 
-    Raises NumericError at once on a non-finite panel estimate, and when the
-    loop would evaluate more than MAX_EVALUATIONS panels.
+    Raises NumericError at once on a non-finite panel estimate, and before
+    the loop would evaluate more than MAX_EVALUATIONS panels, the first level
+    included.
     """
     edges = np.asarray(edges, dtype=float)
     windowed = first is not None
@@ -162,23 +155,28 @@ def integrate_many(fn, edges, rtol: float = DEFAULT_RTOL, max_depth: int = 40,
             return np.bincount(owners, np.abs(values), minlength=first.size)
         return np.abs(values).sum(keepdims=True)
 
+    def charge(panels):
+        nonlocal used
+        used += panels
+        if used > MAX_EVALUATIONS:
+            raise NumericError(
+                f"adaptive quadrature did not reach rtol={rtol} within "
+                f"{MAX_EVALUATIONS} panel evaluations")
+
+    used = 0
+    charge(3 * len(lo))
     owner = np.arange(len(lo))
     mid = 0.5 * (lo + hi)
     est, left, right = _gl_panels(fn, [(lo, hi), (lo, mid), (mid, hi)], windowed)
     _check_finite(est, lo, hi)
     out = np.zeros(len(lo), dtype=complex)
     abs_scale = abs_sums(est, window)
-    used = 3 * len(lo)
 
     for depth in range(max_depth):
         if len(lo) == 0:
             break
         if depth:
-            used += 2 * len(lo)
-            if used > MAX_EVALUATIONS:
-                raise NumericError(
-                    f"adaptive quadrature did not reach rtol={rtol} within "
-                    f"{MAX_EVALUATIONS} panel evaluations")
+            charge(2 * len(lo))
             mid = 0.5 * (lo + hi)
             left, right = _gl_panels(fn, [(lo, mid), (mid, hi)], windowed)
         fine = left + right

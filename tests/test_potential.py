@@ -332,7 +332,18 @@ def test_values_reject_nan_abscissae():
 # -- the adaptive loop over many windows -----------------------------------------
 
 
-def test_window_edges_match_split_panels(corpus):
+def _kept_edges(a, b, breakpoints):
+    """Edges of the window [a, b], breakpoint by breakpoint: an interior
+    breakpoint is kept unless it lies within the floor of the one before it
+    (or of a) or of b."""
+    floor = 1e-14 * max(abs(a), abs(b), b - a, 1.0)
+    inside = [t for t in sorted(breakpoints) if a < t < b]
+    kept = [t for prev, t in zip([a] + inside, inside)
+            if t - prev >= floor and b - t >= floor]
+    return [a] + kept + [b]
+
+
+def test_window_edges_keep_breakpoints_clear_of_the_floor(corpus):
     rng = np.random.default_rng(8)
     for name, s in corpus:
         starts = np.concatenate([rng.uniform(0.0, s.domain_end - 1.0, 40),
@@ -341,14 +352,18 @@ def test_window_edges_match_split_panels(corpus):
         edges, first = quadrature.window_edges(starts, ends, s.breakpoints)
         runs = np.split(edges, first[1:])
         for a, b, run in zip(starts, ends, runs):
-            assert np.array_equal(run, quadrature.split_panels(a, b, s.breakpoints)), name
-    # breakpoints closer than the floor to an edge are left out
-    for bp in ([0.5, 0.5 + 1e-16, 1.0 - 1e-16], [1e-16, 0.25]):
-        edges, _first = quadrature.window_edges(0.0, 1.0, bp)
-        assert np.array_equal(edges, quadrature.split_panels(0.0, 1.0, bp))
+            assert run.tolist() == _kept_edges(a, b, s.breakpoints), name
+    # breakpoints packed within the floor, unsorted for split_panels
+    for bp in ([0.5, 0.5 + 1e-16, 1.0 - 1e-16], [1e-16, 0.25],
+               [0.5 + 1.2e-14, 0.5, 0.5 + 0.6e-14, 0.5 + 1.8e-14]):
+        edges = quadrature.split_panels(0.0, 1.0, bp)
+        assert edges.tolist() == _kept_edges(0.0, 1.0, bp)
+        assert np.diff(edges).min() >= 1e-14
 
 
-def test_all_windows_pass_equals_separate_calls(corpus):
+@pytest.mark.parametrize("batch", [quadrature.BATCH_PANELS, 5])
+def test_all_windows_pass_equals_separate_calls(corpus, monkeypatch, batch):
+    monkeypatch.setattr(quadrature, "BATCH_PANELS", batch)
     for name, s in corpus:
         if name == "vh1000":
             continue  # its |s|^2 is noise-limited next to the poles, see below
@@ -357,6 +372,20 @@ def test_all_windows_pass_equals_separate_calls(corpus):
         for a, want0, want2 in zip(starts, m0, q2):
             one = sl.moments(s, sl.Interval(a, a + 0.75))
             assert (one.m0, one.q2) == (want0, want2), (name, a)
+
+
+def test_long_domain_scan_succeeds():
+    # 60,000 windows of three panels each: their first level alone is more
+    # panel evaluations than one pass may spend, so they must go in batches
+    X = 30000.0
+    s = sl.delta_sum(np.arange(0.25, X, 0.5), np.resize([1.0, -1.0], 2 * int(X)), X)
+    assert 3 * 3 * 2 * X > quadrature.MAX_EVALUATIONS
+    series, _refuted = sl.scan_necessary(s, 1.0)
+    assert series.values.size == 2 * int(X) - 1
+    # s is 0 and 1 on alternate half-units: every window is half 0, half 1
+    assert series.values == pytest.approx(0.5, rel=1e-12)
+    for x, dbl in list(series.rows())[::4999]:
+        assert dbl == sl.window_deviation(s, x, 1.0)[2]
 
 
 def test_adaptive_loop_raises_on_non_finite_estimate():
