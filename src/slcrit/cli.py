@@ -227,27 +227,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "of the antiderivative s.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--potential", help="potential JSON file")
-        p.add_argument("--a", type=float, default=1.0, help="window length")
-        p.add_argument("--d", type=float, default=1.0, help="sector-search depth")
-        p.add_argument("--mesh", type=int, default=128, help="FEM mesh resolution")
-        p.add_argument("--angles", type=int, default=64, help="range-boundary rotations")
-        p.add_argument("--xmax", type=float, default=None, help="domain override")
-        p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=20240801)
+    options = {
+        "--potential": dict(help="potential JSON file"),
+        "--a": dict(type=float, default=1.0, help="window length"),
+        "--d": dict(type=float, default=1.0, help="sector-search depth"),
+        "--mesh": dict(type=int, default=128, help="FEM mesh resolution"),
+        "--angles": dict(type=int, default=64, help="range-boundary rotations"),
+        "--xmax": dict(type=float, default=None, help="domain override"),
+        "--out": dict(default=None, help="output path"),
+        "--format": dict(choices=["json", "csv"], default="json"),
+        "--seed": dict(type=int, default=20240801),
+    }
 
-    p = sub.add_parser("analyze", help="classify a potential and write the verdict")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
+    def command(name, fn, summary, *names):
+        p = sub.add_parser(name, help=summary)
+        for option in names:
+            p.add_argument(option, **options[option])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("scan", help="window localization scan to CSV")
-    common(p)
-    p.set_defaults(fn=cmd_scan)
-
-    p = sub.add_parser("generate", help="write a generated potential file")
-    common(p)
+    command("analyze", cmd_analyze, "classify a potential and write the verdict",
+            "--potential", "--xmax", "--a", "--d", "--out", "--format")
+    command("scan", cmd_scan, "window localization scan to CSV",
+            "--potential", "--xmax", "--mesh", "--angles", "--out")
+    p = command("generate", cmd_generate, "write a generated potential file",
+                "--xmax", "--mesh", "--out")
     p.add_argument("--kind", choices=["delta", "miura", "s1", "s2"], required=True)
     p.add_argument("--positions", default=None, help="comma-separated jump locations")
     p.add_argument("--strengths", default=None, help="comma-separated jump strengths")
@@ -258,15 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=1, help="bump block count")
     p.add_argument("--theta", type=float, default=0.5, help="scaling parameter for kind=s2")
     p.add_argument("--h0", type=float, default=4.0, help="initial bump height for kind=s2")
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("verify", help="run the seeded property suites")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("plot", help="emit CSV series for external plotting")
-    common(p)
-    p.set_defaults(fn=cmd_plot)
+    command("verify", cmd_verify, "run the seeded property suites", "--seed", "--out")
+    command("plot", cmd_plot, "emit CSV series for external plotting",
+            "--potential", "--xmax", "--a", "--d", "--mesh", "--angles", "--out")
     return parser
 
 
@@ -274,10 +272,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.mesh > MAX_MESH:
-            raise ValidationError(f"--mesh {args.mesh} exceeds the limit {MAX_MESH}")
-        if args.angles > MAX_ANGLES:
-            raise ValidationError(f"--angles {args.angles} exceeds the limit {MAX_ANGLES}")
+        for option, limit in (("mesh", MAX_MESH), ("angles", MAX_ANGLES)):
+            value = getattr(args, option, None)
+            if value is not None and value > limit:
+                raise ValidationError(f"--{option} {value} exceeds the limit {limit}")
         return args.fn(args)
     except (ValidationError, DomainError, UnsupportedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

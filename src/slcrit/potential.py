@@ -272,16 +272,6 @@ class Antiderivative:
         arr = self.values(x)
         return complex(arr) if arr.shape == () else arr
 
-    def left_limit(self, x: float) -> complex:
-        """Limit of s from the left at x (equals s(x) away from jumps/steps)."""
-        if not (0.0 < x <= self.domain_end):
-            raise DomainError(f"left limit needs x in (0, {self.domain_end}]")
-        k = int(np.searchsorted(self._bp_arr, x, side="left")) - 1
-        k = min(max(k, 0), len(self.pieces) - 1)
-        val = complex(self._pieces_at(np.asarray([float(x)]), np.asarray([k]))[0])
-        nj = int(np.searchsorted(self._jump_locs, x, side="left"))
-        return val + complex(self._jump_cum[nj])
-
     # -- helpers ----------------------------------------------------------
 
     def piece_index(self, x: float) -> int:

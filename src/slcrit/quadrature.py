@@ -22,6 +22,9 @@ DEFAULT_RTOL = 1e-10
 
 _WIDTH_FLOOR = 1e-14
 
+#: a cell node of ``grid`` this close to a breakpoint, in cells, gives way to it
+_GRID_FLOOR = 1e-6
+
 #: panel evaluations one call of the adaptive loop may spend, the first level
 #: included, before it gives up, like QUADPACK's ``limit``.  It bounds time and
 #: memory when a finite integrand never meets the tolerance, e.g. when the
@@ -70,6 +73,25 @@ def window_edges(starts, ends, breakpoints) -> tuple:
     runs[first] = runs[first + inner + 1] = False
     edges[runs] = t[keep]
     return edges, first
+
+
+def grid(a: float, b: float, n: int, breakpoints=()) -> np.ndarray:
+    """Nodes of n equal cells on [a, b] with every interior breakpoint a node.
+
+    A cell node closer than 1e-6 of a cell to a breakpoint gives way to it,
+    and a breakpoint that close to a or b is left out, so the ends stay
+    exact.  FEM meshes and integrator panels both come from here.
+    """
+    floor = _GRID_FLOOR * (b - a) / n
+    bp = np.unique(np.asarray(breakpoints, dtype=float))
+    bp = bp[(bp - a >= floor) & (b - bp >= floor)]
+    cells = np.linspace(a, b, n + 1)[1:-1]
+    if bp.size:
+        i = bp.searchsorted(cells)
+        gap = np.minimum(np.abs(cells - bp[np.maximum(i - 1, 0)]),
+                         np.abs(bp[np.minimum(i, bp.size - 1)] - cells))
+        cells = cells[gap >= floor]
+    return np.concatenate([[a], np.sort(np.concatenate([cells, bp])), [b]])
 
 
 def split_panels(a: float, b: float, breakpoints=()) -> np.ndarray:

@@ -27,7 +27,6 @@ overflow is detected.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,32 +65,8 @@ class Trajectory:
     def y1(self) -> np.ndarray:
         return self.states[:, 1]
 
-    def final(self) -> State:
-        return State(complex(self.states[-1, 0]), complex(self.states[-1, 1]))
-
     def sup_norm(self) -> float:
         return float(np.abs(self.states).max())
-
-
-def _panel_edges(s: Antiderivative, interval: Interval, panels: int,
-                 forcing: Antiderivative = None) -> np.ndarray:
-    breaks = list(s.breakpoints)
-    if forcing is not None:
-        breaks += list(forcing.breakpoints)
-    base = np.linspace(interval.a, interval.b, panels + 1)
-    inner = [t for t in breaks if interval.a < t < interval.b]
-    edges = np.unique(np.concatenate([base, np.asarray(inner, dtype=float)]))
-    floor = (interval.b - interval.a) / panels * 1e-9
-    keep = [edges[0]]
-    inner_set = set(float(t) for t in inner)
-    for t in edges[1:]:
-        if t - keep[-1] < floor:
-            if float(t) in inner_set:
-                keep[-1] = t
-            continue
-        keep.append(t)
-    keep[-1] = interval.b
-    return np.asarray(keep)
 
 
 def _grid(s: Antiderivative, interval: Interval, panels: int,
@@ -99,7 +74,10 @@ def _grid(s: Antiderivative, interval: Interval, panels: int,
     s.check_interval(interval)
     if panels < 1:
         raise ValidationError("panel count must be positive")
-    return _panel_edges(s, interval, panels, forcing)
+    breaks = list(s.breakpoints)
+    if forcing is not None:
+        breaks += list(forcing.breakpoints)
+    return quadrature.grid(interval.a, interval.b, panels, breaks)
 
 
 def _gauss(lo: np.ndarray, hi: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
@@ -216,26 +194,6 @@ def cauchy_apply(s: Antiderivative, interval: Interval, forcing: Antiderivative,
     return Trajectory(nodes=edges, states=states)
 
 
-def weak_residual(s: Antiderivative, traj: Trajectory,
-                  forcing: Antiderivative = None) -> float:
-    """max per-panel defect of int (y1)' + s y1 + s^2 y + f over the panels.
-
-    States inside a panel come from the model transfer, so the residual
-    measures how closely the discrete trajectory satisfies the integrated
-    system; it vanishes to quadrature accuracy on panels where s is constant
-    and shrinks at third order in the panel width otherwise.
-    """
-    lo, hi = traj.nodes[:-1], traj.nodes[1:]
-    xq, wq = _gauss(lo, hi, *np.polynomial.legendre.leggauss(8))
-    yq = np.einsum("kqij,kj->kqi", _transfers(s, lo[:, None], xq), traj.states[:-1])
-    sq = s.values(xq.ravel()).reshape(xq.shape)
-    integrand = sq * yq[..., 1] + sq ** 2 * yq[..., 0]
-    if forcing is not None:
-        integrand = integrand + forcing.values(xq.ravel()).reshape(xq.shape)
-    defect = np.diff(traj.states[:, 1]) + np.sum(integrand * wq, axis=1)
-    return float(np.abs(defect).max())
-
-
 @dataclass(frozen=True)
 class GrowthBound:
     M: float
@@ -265,12 +223,3 @@ def growth_bound_check(s: Antiderivative, interval: Interval,
             f"growth bound violated: M={M} on applicable window {interval}")
     return GrowthBound(M=M, applicable=applicable,
                        interval_length=length, deviation=dev)
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y_re", "y_im", "y1_re", "y1_im"])
-        for x, (y, y1) in zip(traj.nodes, traj.states):
-            writer.writerow([repr(float(x)), repr(float(y.real)), repr(float(y.imag)),
-                             repr(float(y1.real)), repr(float(y1.imag))])

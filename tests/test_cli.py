@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,38 @@ def test_scan_rejects_short_domain(tmp_path):
     short = tmp_path / "short.json"
     sl.save(sl.zero(1.5), short)
     assert main(["scan", "--potential", str(short)]) == 2
+
+
+def test_scan_breakpoints_closer_than_the_grid_floor(tmp_path):
+    # 0.5 and 0.500000001 sit within 1e-6 of a cell of each other and of the
+    # start of the window [0.5, 1.5]; both stay nodes, or neither does
+    def poly(*c):
+        return [{"type": "poly", "re": list(c), "im": [0.0] * len(c)}]
+
+    pot = tmp_path / "close.json"
+    pot.write_text(json.dumps({"domain_end": 3.0,
+                               "breakpoints": [0.0, 0.5, 0.500000001, 3.0],
+                               "pieces": [poly(0.0, 1.0), poly(1.0), poly(2.0)],
+                               "jumps": []}))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--potential", str(pot), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 5
+    for r in rows:
+        values = [float(r[k]) for k in ("herm_lambda_min", "infmod_lower", "infmod_upper")]
+        assert all(math.isfinite(v) for v in values)
+        assert values[1] <= values[2]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only: the package and its CLI run on numpy
+    code = ("import sys, slcrit, slcrit.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).resolve().parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_generate_delta(tmp_path):

@@ -14,9 +14,19 @@ from slcrit.errors import NumericError, ValidationError
 PI2 = math.pi ** 2
 
 
+def dense(bands):
+    """Dense symmetric matrix of a (diagonal, off-diagonal) pair."""
+    return forms._dense(*bands)
+
+
+def interpolate(w, fn):
+    """Coefficient vector of the hat interpolant of a callable."""
+    return np.asarray(fn(w.nodes[1:-1]), dtype=complex)
+
+
 def ground_eigenvalue(w):
-    return float(scipy.linalg.eigh(w.A, w.M, subset_by_index=[0, 0],
-                                   eigvals_only=True)[0])
+    return float(scipy.linalg.eigh(dense(w.A_bands), w.M,
+                                   subset_by_index=[0, 0], eigvals_only=True)[0])
 
 
 def test_fem_baseline_dirichlet_laplacian():
@@ -30,7 +40,7 @@ def test_delta_potential_form_value():
     for alpha in (-1.0, 1.0, 5.0):
         s = sl.delta_sum([0.5], [alpha], 1.0)
         w = forms.assemble(s, sl.Interval(0.0, 1.0), 512)
-        c = w.interpolate(lambda x: math.sqrt(2.0) * np.sin(math.pi * x))
+        c = interpolate(w, lambda x: math.sqrt(2.0) * np.sin(math.pi * x))
         val = forms.form_value(w, c)
         assert val.real == pytest.approx(PI2 + 2.0 * alpha, abs=1e-2)
         assert val.imag == pytest.approx(0.0, abs=1e-10)
@@ -42,20 +52,21 @@ def test_gauge_off_matches_plain():
     gauged = forms.assemble(s, sl.Interval(0.0, 1.0), 64,
                             gauge=(sl.zero(1.0), 0.0, 0.0))
     assert np.allclose(plain.B, gauged.B)
-    assert np.allclose(plain.P, gauged.P)
+    assert np.allclose(dense(plain.P_bands), dense(gauged.P_bands))
 
 
 def test_matrix_structure_invariants():
     rng = np.random.default_rng(8)
     s = sampling.random_antiderivative(rng, domain_end=2.0, jumps=2)
     w = forms.assemble(s, sl.Interval(0.25, 1.75), 48)
-    for mat in (w.A, w.M):
+    for mat in (dense(w.A_bands), w.M):
         assert np.allclose(mat, mat.T)
         assert np.all(np.linalg.eigvalsh(mat) > 0)
-    assert np.allclose(w.P, w.P.T)  # complex symmetric, not Hermitian
-    band = np.triu(np.abs(w.P), 2)
+    P = dense(w.P_bands)
+    assert np.allclose(P, P.T)  # complex symmetric, not Hermitian
+    band = np.triu(np.abs(P), 2)
     assert np.max(band) == 0.0  # hat overlap keeps bandwidth <= 1
-    assert np.allclose(w.B, w.A - w.P)
+    assert np.allclose(w.B, dense(w.A_bands) - dense(w.P_bands))
 
 
 def test_form_value_zero_vector_and_dimension():
@@ -75,7 +86,7 @@ def test_form_value_imaginary_slope_identity():
     norm = complex(c.conj() @ (w.M @ c)).real
     c = c / math.sqrt(norm)
     val = forms.form_value(w, c)
-    kinetic = complex(c.conj() @ (w.A @ c)).real
+    kinetic = complex(c.conj() @ (dense(w.A_bands) @ c)).real
     assert val.real == pytest.approx(kinetic, rel=1e-10)
     assert val.imag == pytest.approx(1.0, abs=1e-10)
 
@@ -109,7 +120,7 @@ def test_range_boundary_rotated_ray():
     for _ in range(40):
         c = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
         c /= math.sqrt(complex(c.conj() @ (w.M @ c)).real)
-        pts.append(complex(c.conj() @ ((-w.P) @ c)))
+        pts.append(complex(c.conj() @ ((-dense(w.P_bands)) @ c)))
     from slcrit import sectors
     sec = sectors.fit_sector(np.asarray(pts), translate_vertex=False)
     assert sec is not None
@@ -196,7 +207,7 @@ def test_gauge_consistency_decomposition():
                              extra_breakpoints=extra)
     w_s = forms.assemble(s_only, win, 64, extra_breakpoints=extra)
     lhs = w_full.B
-    rhs = ope * (-w_s.P) + w_gauge.B
+    rhs = ope * (-dense(w_s.P_bands)) + w_gauge.B
     assert np.max(np.abs(lhs - rhs)) <= 1e-6 * np.max(np.abs(lhs))
 
 
@@ -219,7 +230,7 @@ def test_mform_blowup_bound():
     v, gam = sl.vh_profile(h)
     w = forms.assemble(sl.zero(1.0), sl.Interval(0.0, 1.0), 512,
                        gauge=(gam, 1.0, alpha))
-    val = forms.form_value(w, w.interpolate(v.values))
+    val = forms.form_value(w, interpolate(w, v.values))
     assert val.real <= 2.0 / (3.0 * h) - (2.0 * alpha / 3.0) * h ** 4 + 1e-3
 
 
@@ -370,6 +381,66 @@ def test_kernel_on_indefinite_gauge_form():
     # the range straddles 0, so no rotation certifies a positive bound
     assert lows.min() < -1.0
     assert lows.max() <= 1e-12
+
+
+def _sturm_lambda_min(windows, iters=64):
+    """Smallest eigenvalue of each real pencil (Re B, M), by bisection on the
+    inertia of H - x M: x lies above lambda_min exactly when some LDL^T pivot
+    is negative.  The pivots run in long double, over all windows at once."""
+    ld = np.longdouble
+    dims = np.asarray([w.dim for w in windows])
+    live = np.arange(dims.max())[:, None] < dims
+    h, ho, m, mo = (np.zeros(live.shape, ld) for _ in range(4))
+    for k, w in enumerate(windows):
+        h[:w.dim, k], ho[1:w.dim, k] = w.B_bands[0].real, w.B_bands[1].real
+        m[:w.dim, k], mo[1:w.dim, k] = w.M_bands
+    m[~live] = 1.0
+
+    def above(x):
+        d = h[0] - x * m[0]
+        neg = d < 0
+        for i in range(1, live.shape[0]):
+            e = ho[i] - x * mo[i]
+            d = h[i] - x * m[i] - e * e / d
+            neg |= (d < 0) & live[i]
+        return neg
+
+    with np.errstate(all="ignore"):
+        hi = np.where(live, h / m, np.inf).min(0)     # unit-vector quotients
+        width = np.maximum(np.abs(hi), 1.0)
+        while (bad := above(hi - width)).any():
+            width[bad] *= 2.0
+        lo = hi - width
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            up = above(mid)
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return (0.5 * (lo + hi)).astype(float)
+
+
+def test_real_lambda_min_matches_long_double_sturm_count():
+    # breakpoints 10^-5.5 to 10^-2 of a cell off a mesh node, every other
+    # window with two of them by the same node, leave short elements whose
+    # eigenvalues dwarf lambda_min; scipy's subset driver missed by 7e-3 here
+    rng = np.random.default_rng(1)
+    windows = []
+    for case in range(90):
+        n = int(rng.choice([32, 64, 128]))
+        nodes = rng.choice(np.arange(1, n), size=3, replace=False)
+        if case % 2:
+            nodes[1] = nodes[0]
+        off = 10.0 ** rng.uniform(-5.5, -2.0, size=3) * rng.choice([-1, 1], size=3)
+        cuts = np.unique(1.0 + (nodes + off) / n)
+        pieces = [(sl.PolyTerm(tuple(complex(c) for c in rng.uniform(-5.0, 5.0, 4))),)
+                  for _ in range(cuts.size + 1)]
+        s = sl.Antiderivative(3.0, (0.0, *cuts, 3.0), tuple(pieces))
+        windows.append(forms.assemble(s, sl.Interval(1.0, 2.0), n))
+    ref = _sturm_lambda_min(windows)
+    got = np.asarray([forms.herm_lambda_min(w) for w in windows])
+    assert np.all(np.abs(got - ref) <= 1e-6 * np.maximum(np.abs(ref), 1.0))
+    # the scan's real path reads the same lambda_min
+    lows = [forms.range_boundary(w, angles=16).lambda_mins[0] for w in windows[:4]]
+    assert np.array_equal(lows, got[:4])
 
 
 def test_non_finite_form_entries_raise():

@@ -22,9 +22,9 @@ def test_eval_right_continuous_at_jump():
     s = sl.delta_sum([0.5], [1.0], 1.0)
     assert s(0.5) == pytest.approx(1.0)
     assert s(0.4999) == pytest.approx(0.0)
-    assert s.left_limit(0.5) == pytest.approx(0.0)
+    assert left_limit(s, 0.5) == pytest.approx(0.0)
     # left limit differs from the value by exactly the jump offset
-    assert s(0.5) - s.left_limit(0.5) == pytest.approx(1.0)
+    assert s(0.5) - left_limit(s, 0.5) == pytest.approx(1.0)
 
 
 def test_eval_reciprocal_piece():
@@ -237,6 +237,15 @@ def test_adaptive_quadrature_near_pole():
 # -- packed evaluation against the term-by-term sum --------------------------
 
 
+def left_limit(s, x):
+    """Limit of s from the left at x, through the packed piece table."""
+    k = int(np.searchsorted(s.breakpoints, x, side="left")) - 1
+    k = min(max(k, 0), len(s.pieces) - 1)
+    val = complex(s._pieces_at(np.asarray([float(x)]), np.asarray([k]))[0])
+    nj = int(np.searchsorted(s._jump_locs, x, side="left"))
+    return val + complex(s._jump_cum[nj])
+
+
 def _term_sum(s, x, side="right"):
     """s at x by a loop over pieces and terms, plus the cumulative jumps.
 
@@ -266,7 +275,7 @@ def test_packed_values_equal_term_sum(corpus):
         assert np.array_equal(s.values(xs), _term_sum(s, xs)), name
         assert s.values(xs.reshape(-1, 1)).shape == (xs.size, 1)
         inner = bp[1:]
-        assert np.array_equal([s.left_limit(t) for t in inner],
+        assert np.array_equal([left_limit(s, t) for t in inner],
                               _term_sum(s, inner, side="left")), name
 
 
@@ -359,6 +368,30 @@ def test_window_edges_keep_breakpoints_clear_of_the_floor(corpus):
         edges = quadrature.split_panels(0.0, 1.0, bp)
         assert edges.tolist() == _kept_edges(0.0, 1.0, bp)
         assert np.diff(edges).min() >= 1e-14
+
+
+def _grid_nodes(a, b, n, breakpoints):
+    """quadrature.grid by its rule, one node at a time."""
+    floor = 1e-6 * (b - a) / n
+    inside = sorted({t for t in breakpoints if t - a >= floor and b - t >= floor})
+    cells = [c for c in np.linspace(a, b, n + 1)[1:-1].tolist()
+             if all(abs(c - t) >= floor for t in inside)]
+    return [a] + sorted(cells + inside) + [b]
+
+
+def test_grid_makes_every_breakpoint_a_node_and_keeps_the_ends(corpus):
+    cases = [(0.0, 1.0, 8, [1e-9, 0.5, 0.5 + 1e-9, 0.6, 1.0 - 1e-9]),
+             (0.0, 1.0, 8, [0.125 + 1e-9, 0.25 - 1e-8, 0.375 + 1e-3, 0.625]),
+             (0.5, 1.5, 128, [0.0, 0.5, 0.500000001, 3.0])]
+    rng = np.random.default_rng(9)
+    for _name, s in corpus:
+        a = rng.uniform(0.0, s.domain_end - 1.0)
+        cases.append((a, a + 1.0, int(rng.integers(8, 200)), s.breakpoints))
+    for a, b, n, bp in cases:
+        nodes = quadrature.grid(a, b, n, bp)
+        assert nodes.tolist() == _grid_nodes(a, b, n, bp)
+        assert nodes[0] == a and nodes[-1] == b
+        assert np.all(np.diff(nodes) > 0)
 
 
 @pytest.mark.parametrize("batch", [quadrature.BATCH_PANELS, 5])
