@@ -263,100 +263,151 @@ def _check_finite(w: WindowForm) -> None:
                 raise NumericError("window form has non-finite matrix entries")
 
 
+def _twist(n):
+    """Row order and coupling rows of the twisted layout of odd order n: rows
+    0, n-1, 1, n-2, ... and the middle row k last, each with the coupling
+    (index into the natural couplings, 0 for none) towards the middle.  Rows
+    [:-1] then reshape without a copy into k stacked rows, the top rows
+    0..k-1 beside the bottom rows n-1..k+1, which run towards row k."""
+    k = n // 2
+    order = np.append(np.stack([np.arange(k), np.arange(n - 1, k, -1)], 1).ravel(), k)
+    return order, np.append(np.where(order[:-1] < k, order[:-1] + 1, order[:-1]), 0)
+
+
+def _stacked(a):
+    return a[:-1].reshape(a.shape[0] // 2, -1)
+
+
+def _fold(a):
+    """Top plus bottom half of a stacked row."""
+    return a[:a.size // 2] + a[a.size // 2:]
+
+
+def _apply(diag, off, v):
+    """T v per column, T tridiagonal in the twisted layout: row p meets row
+    p + 2, and the last two rows both meet the middle row."""
+    y = diag * v
+    y[:-2] += off[:-2] * v[2:]
+    y[2:] += off[:-2] * v[:-2]
+    y[-2] += off[-2] * v[-1]
+    y[-1] += off[-2] * v[-2]
+    return y
+
+
 def _gershgorin(d, o):
     """Per column: the largest row sum of |T| and the Gershgorin lower bound."""
-    ao = np.abs(o[1:])
-    radius = np.zeros_like(d)
-    radius[1:] += ao
-    radius[:-1] += ao
+    ao = np.abs(o)
+    radius = ao.copy()
+    radius[2:] += ao[:-2]
+    radius[-1] += ao[-2]
     return (np.abs(d) + radius).max(0), (d - radius).min(0)
 
 
-def _shifted(h, ho, m, mo, x, cols=None):
-    """Diagonal and couplings of H - x M, for the columns ``cols`` or all."""
-    if cols is None:
-        T, E = m * -x, mo * -x
-        T += h
-        E += ho
-    else:
-        T, E = m[:, cols], mo[:, cols]
-        T *= -x
-        T += h[:, cols]
-        E *= -x
-        E += ho[:, cols]
+def _element_floor(h, ho, m, mo):
+    """Least lambda_min over the element blocks of the pencil (H, M).
+
+    M is a sum of blocks mo [[2, 1], [1, 2]] and a diagonal remainder, and
+    H's diagonal splits in the same proportions; below every block's
+    lambda_min and the remainder's quotients (not below min h/m, a cap the
+    caller applies), H - x M is semidefinite.  With r, c the rows' h/m and
+    b = ho/mo, a block's lambda solves lambda^2 - 2 s lambda + q = 0.
+    """
+    r = h / m
+    c = np.append(r[2:], r[-1:], axis=0)
+    b = ho[:-1] / mo[:-1]
+    s = (2.0 * (r[:-1] + c) - b) / 3.0
+    c *= r[:-1]
+    del r
+    q = (4.0 * c - b * b) / 3.0
+    del b, c
+    root = np.sqrt(np.maximum(s * s - q, 0.0))
+    lam = np.where(s > 0, q / (s + root), s - root)
+    return np.where(mo[:-1] > 0, lam, np.inf).min(0)
+
+
+def _shifted(h, ho, m, mo, x):
+    """Diagonal and couplings of H - x M."""
+    T, E = m * -x, mo * -x
+    T += h
+    E += ho
     return T, E
 
 
 def _definite(T, E):
-    """Whether every LDL^T pivot d_i = T_i - E_i^2 / d_{i-1} is positive.
+    """Whether every pivot of the twisted LDL^T of H - x M is positive.
 
-    By Sylvester's law of inertia that holds exactly when the shift lies
-    below the smallest pencil eigenvalue.
+    Both sides run d_i = T_i - E_i^2 / d_{i-1} towards the middle row, whose
+    pivot takes both: T_k - E^2/d (top) - E^2/d (bottom).  By Sylvester's
+    law of inertia that holds exactly below the smallest pencil eigenvalue.
     """
-    E *= E
-    d = T[0]
-    pd = d > 0
-    for i in range(1, T.shape[0]):
-        d = T[i] - E[i] / d
-        pd &= d > 0
-    return pd
+    t, e = _stacked(T), _stacked(E)
+    e *= e
+    d = t[0]
+    for i in range(1, t.shape[0]):
+        d = np.subtract(t[i], e[i - 1] / d, out=t[i])
+    pos = (t > 0).all(0)
+    return pos[:T.shape[1]] & pos[T.shape[1]:] & (T[-1] - _fold(e[-1] / d) > 0)
 
 
 def _laguerre_terms(T, E, m, mo):
     """Definiteness and the log-determinant derivatives that drive Laguerre.
 
-    Alongside the pivots d_i of H - x M the recurrence carries u_i = d_i'/d_i
-    and v_i = d_i''/d_i (derivatives in x).  G = sum u_i and S = sum u_i^2 -
-    v_i equal sum 1/(x - lambda_j) and sum 1/(x - lambda_j)^2 over the
-    pencil eigenvalues lambda_j.
+    Alongside the twisted pivots d_i of H - x M the recurrence carries
+    u_i = d_i'/d_i and v_i = d_i''/d_i (derivatives in x).  G = sum u_i and
+    S = sum u_i^2 - v_i equal sum 1/(x - lambda_j) and sum 1/(x - lambda_j)^2
+    over the pencil eigenvalues.  Each row's terms overwrite coupling rows
+    already used, and are summed in row order after the loop.
     """
-    W = E * mo
-    W *= 2.0
-    E *= E
-    d = T[0]
-    pd = d > 0
-    u = -m[0] / d
+    t, e, ms, os = (_stacked(a) for a in (T, E, m, mo))
+    W = e * os * 2.0
+    e *= e
+    oo = os * os
+    d = t[0]
+    u = -ms[0] / d
     uu = u * u
     v = np.zeros_like(d)
-    G, S = u.copy(), uu.copy()
-    for i in range(1, T.shape[0]):
-        re = E[i] / d
-        w = W[i] / d
-        d1 = w - m[i] + re * u
-        d2 = re * (v - 2.0 * uu) - 2.0 * (mo[i] * mo[i] / d + w * u)
-        d = T[i] - re
-        pd &= d > 0
-        u = d1 / d
+    first = u, uu
+    for i in range(1, t.shape[0]):
+        re = e[i - 1] / d
+        w = W[i - 1] / d
+        d1 = w - ms[i] + re * u
+        d2 = re * (v - 2.0 * uu) - 2.0 * (oo[i - 1] / d + w * u)
+        d = np.subtract(t[i], re, out=t[i])
+        u = np.divide(d1, d, out=e[i - 1])
         v = d2 / d
         uu = u * u
-        G += u
-        S += uu - v
-    return pd, G, S
-
-
-def _quad(diag, off, v):
-    """v^T T v per column, T tridiagonal with couplings stored as in the kernel."""
-    return (diag * v * v).sum(0) + 2.0 * (off[1:] * v[:-1] * v[1:]).sum(0)
+        np.subtract(uu, v, out=W[i - 1])
+    # the middle row: both sides' last pivots feed it
+    re = e[-1] / d
+    w = W[-1] / d
+    gam = T[-1] - _fold(re)
+    uk = (_fold(w + re * u) - m[-1]) / gam
+    vk = _fold(re * (v - 2.0 * uu) - 2.0 * (oo[-1] / d + w * u)) / gam
+    pos = (t > 0).all(0)
+    return (pos[:T.shape[1]] & pos[T.shape[1]:] & (gam > 0),
+            _fold(e[:-1].sum(0) + first[0]) + uk,
+            _fold(W[:-1].sum(0) + first[1]) + (uk * uk - vk))
 
 
 def _pencil_floor(h, ho, m, mo, dims):
     """Certified smallest eigenvalue and its eigenvector for a batch of pencils.
 
-    Column k holds the real symmetric tridiagonal pencil (H, M): diagonals
-    h[:, k] and m[:, k], and couplings ho[i, k], mo[i, k] between rows i-1
-    and i (row 0 unused).  M must be diagonally dominant, as every
-    hat-element mass matrix is.  Rows from dims[k] on are decoupled padding
-    whose eigenvalues are not below the smallest one.  The four arrays are
-    overwritten.
+    Column k holds the real symmetric tridiagonal pencil (H, M) of odd order
+    n in the twisted layout of ``_twist(n)``: diagonals h[:, k] and m[:, k],
+    couplings ho[:, k] and mo[:, k].  M must be diagonally dominant with
+    nonnegative couplings, as every hat-element mass matrix is.  Natural rows
+    from dims[k] on are decoupled padding whose eigenvalues are not below the
+    smallest one.  The four arrays are overwritten; the vector comes back
+    twisted.
 
     Each column is normalised by the Gershgorin magnitudes of H and M, so no
-    intermediate overflows, then stepped from its Gershgorin lower bound by
-    Laguerre's method, whose iterates stay below lambda_1 for a real-rooted
-    pencil.  Columns still moving after a few passes, or whose step lost
-    definiteness to rounding, are finished by multisection on the
-    definiteness test.  The bound is the largest shift found definite,
-    backed off by the recurrence's backward error as the eigenvector sees
-    it; two inverse-iteration (Thomas) solves at that shift give the vector.
+    intermediate overflows, then stepped by Laguerre's method, whose iterates
+    stay below lambda_1 for a real-rooted pencil, from the larger of the
+    Gershgorin and the element-wise lower bound.  Columns still moving after
+    a few passes, or whose step lost definiteness to rounding, are finished
+    by multisection on the definiteness test.  The bound is the largest shift
+    found definite, backed off by the recurrence's backward error as the
+    eigenvector sees it; two inverse-iteration solves give the vector.
     """
     n, K = h.shape
     with np.errstate(all="ignore"):
@@ -378,19 +429,21 @@ def _pencil_floor(h, ho, m, mo, dims):
         floor = 0.25 * (np.abs(h) / m).min(0)
 
         # Laguerre phase: at a definite x the eigenvalues put lambda_1 in
-        # [x + L, x + |G|/S], L Laguerre's step
-        x = lo.copy()
-        near_hi = np.zeros(K, dtype=bool)
+        # [x + L, x + |G|/S], L Laguerre's step; lo moves only to shifts
+        # found definite
+        x = np.maximum(lo, np.minimum(_element_floor(h, ho, m, mo), hi))
+        ladder = np.zeros(K)
         todo = np.arange(K)
         left = []
         for _ in range(_LAGUERRE_PASSES):
             if todo.size == 0:
                 break
             xs = x[todo]
-            cols = None if todo.size == K else todo
-            T, E = _shifted(h, ho, m, mo, xs, cols)
-            pd, G, S = _laguerre_terms(T, E, *((m, mo) if cols is None
-                                               else (m[:, cols], mo[:, cols])))
+            sub = [a if todo.size == K else a.take(todo, 1) for a in (h, ho, m, mo)]
+            T, E = _shifted(*sub, xs)
+            del sub[:2]
+            pd, G, S = _laguerre_terms(T, E, *sub)
+            del T, E, sub
             step = n / (-G + np.sqrt(np.maximum((n - 1) * (n * S - G * G), 0.0)))
             lo[todo] = np.where(pd, xs, lo[todo])
             bound = np.where(pd, np.where(G < 0, xs - G / S, np.inf), xs)
@@ -399,59 +452,68 @@ def _pencil_floor(h, ho, m, mo, dims):
             tol = _EPS * (4.0 * np.abs(xs) + floor[todo])
             done = usable & ((step <= tol) | (hi[todo] - xs <= tol))
             go = usable & ~done
-            # a Laguerre point that lost definiteness overshot by rounding
-            # only, so the root lies just below it
-            near_hi[todo[~pd]] = True
+            # a point that is not definite overshot by rounding only, so the
+            # root lies just below it: start a ladder of steps tol * 4^j
+            ladder[todo[~pd]] = tol[~pd]
             left.append(todo[~usable])
             x[todo] = np.where(go, np.minimum(xs + step, hi[todo]), xs)
             todo = todo[go]
         left = np.concatenate(left + [todo])
 
-        # multisection, geometric towards the upper end after an overshoot
-        # and uniform otherwise; brackets at least halve per pass, so 64
-        # passes exceed any float range
+        # multisection: uniform, or down the ladder while every rung fails;
+        # brackets at least halve per pass, so 64 passes exceed any float range
         for _ in range(64):
             tol = _EPS * (4.0 * np.abs(lo[left]) + floor[left])
             width = hi[left] - lo[left]
             keep = width > tol
-            left, tol, width = left[keep], tol[keep], width[keep]
+            left, width = left[keep], width[keep]
             if left.size == 0:
                 break
             k = min(_SECTIONS, max(1, K // left.size))
-            j = np.arange(1, k + 1)
-            pts = np.where(near_hi[left, None],
-                           hi[left, None] - width[:, None] * (tol / width)[:, None] ** (j / k),
-                           lo[left, None] + width[:, None] * (j / (k + 1)))
-            near_hi[left] = False
-            T, E = _shifted(h, ho, m, mo, pts.ravel(), np.repeat(left, k))
+            j = np.arange(k)
+            rungs = np.minimum(ladder[left, None] * 4.0 ** j[::-1],
+                               width[:, None] * ((k - j) / (k + 1)))
+            pts = np.where(ladder[left, None] > 0, hi[left, None] - rungs,
+                           lo[left, None] + width[:, None] * ((j + 1) / (k + 1)))
+            T, E = _shifted(*(a.take(np.repeat(left, k), 1) for a in (h, ho, m, mo)),
+                            pts.ravel())
             pd = _definite(T, E).reshape(-1, k)
+            del T, E
             fail = np.where(pd.all(1), k, pd.argmin(1))
             rows = np.arange(left.size)
             lo[left] = np.where(fail > 0, pts[rows, np.maximum(fail - 1, 0)], lo[left])
             hi[left] = np.where(fail < k, pts[rows, np.minimum(fail, k - 1)], hi[left])
+            ladder[left] = np.where(fail == 0, ladder[left] * 4.0 ** k, 0.0)
 
-        # LDL^T of H - lo M, pivots into T and multipliers into E, then
-        # inverse iteration from a start vector that vanishes on the padding
+        # twisted LDL^T of H - lo M, pivots into T and multipliers into E,
+        # then inverse iteration from a start vector that vanishes on the
+        # padding: eliminate towards the middle row, substitute outwards
         T, E = _shifted(h, ho, m, mo, lo)
-        for i in range(1, n):
-            mult = E[i] / T[i - 1]
-            T[i] -= mult * E[i]
-            T[i][T[i] == 0.0] = _EPS
-            E[i] = mult
-        rows = np.arange(n)[:, None]
+        t, e = _stacked(T), _stacked(E)
+        for i in range(1, t.shape[0]):
+            mult = e[i - 1] / t[i - 1]
+            t[i] -= mult * e[i - 1]
+            t[i][t[i] == 0.0] = _EPS
+            e[i - 1] = mult
+        mult = e[-1] / t[-1]
+        T[-1] -= _fold(mult * e[-1])
+        T[-1][T[-1] == 0.0] = _EPS
+        e[-1] = mult
+        rows = _twist(n)[0][:, None]
         vec = np.where(rows < dims, 0.5 + (rows * 0.6180339887498949) % 1.0, 0.0)
         for _ in range(2):
-            y = m * vec
-            y[1:] += mo[1:] * vec[:-1]
-            y[:-1] += mo[1:] * vec[1:]
-            for i in range(1, n):
-                y[i] -= E[i] * y[i - 1]
+            y = _apply(m, mo, vec)
+            ys = _stacked(y)
+            for i in range(1, ys.shape[0]):
+                ys[i] -= e[i - 1] * ys[i - 1]
+            y[-1] -= _fold(e[-1] * ys[-1])
             y /= T
-            for i in range(n - 2, -1, -1):
-                y[i] -= E[i + 1] * y[i + 1]
+            ys[-1] -= e[-1] * np.tile(y[-1], 2)
+            for i in range(ys.shape[0] - 2, -1, -1):
+                ys[i] -= e[i] * ys[i + 1]
             y /= np.abs(y).max(0)
             vec = y
-        del T, E
+        del T, E, t, e
 
         a = np.abs(lo)
         size = _quad(np.abs(h) + a * m, np.abs(ho) + a * np.abs(mo), np.abs(vec))
@@ -459,28 +521,34 @@ def _pencil_floor(h, ho, m, mo, dims):
     return lower * (gam_h / gam_m), vec
 
 
+def _quad(diag, off, v):
+    """v^T T v per column, T tridiagonal in the twisted layout."""
+    return (v * _apply(diag, off, v)).sum(0)
+
+
 def _rotation_sweep(windows, thetas):
     """Certified lambda_min and attained boundary sample per window and rotation.
 
-    The windows are padded to one dimension with decoupled copies of their
-    last row, whose eigenvalue is a Rayleigh quotient and so not below
-    lambda_min, and the kernel runs over columns window x rotation, one
-    chunk of at most ``_CHUNK_ELEMENTS`` array elements (or
-    ``_CHUNK_COLUMNS`` columns) at a time.
+    The windows are padded to one odd dimension with decoupled copies of
+    their last row, whose eigenvalue is a Rayleigh quotient and so not below
+    lambda_min, put in the twisted layout, and the kernel runs over columns
+    window x rotation, one chunk of at most ``_CHUNK_ELEMENTS`` array
+    elements (or ``_CHUNK_COLUMNS`` columns) at a time.
     """
     dims = np.asarray([w.dim for w in windows])
-    N, W, R = int(dims.max()), len(windows), thetas.size
-    bd = np.empty((N, W), dtype=complex)
-    bo = np.zeros((N, W), dtype=complex)
-    md = np.empty((N, W))
-    mo = np.zeros((N, W))
+    N, W, R = int(dims.max()) | 1, len(windows), thetas.size
+    bd, bo = np.zeros((2, N, W), dtype=complex)
+    md, mo = np.zeros((2, N, W))
     for k, w in enumerate(windows):
         _check_finite(w)
         d = w.dim
         bd[:d, k], bo[1:d, k] = w.B_bands
         md[:d, k], mo[1:d, k] = w.M_bands
         bd[d:, k], md[d:, k] = bd[d - 1, k], md[d - 1, k]
-    parts = (bd.real.copy(), bo.real.copy(), bd.imag.copy(), bo.imag.copy())
+    order, couple = _twist(N)
+    parts = (bd.real[order], bo.real[couple], bd.imag[order], bo.imag[couple],
+             md[order], mo[couple])
+    del bd, bo, md, mo
     cos, sin = np.cos(thetas), np.sin(thetas)
     lows = np.empty(W * R)
     samples = np.empty(W * R, dtype=complex)
@@ -488,15 +556,16 @@ def _rotation_sweep(windows, thetas):
     for cols in np.array_split(np.arange(W * R), chunks):
         win, rot = np.divmod(cols, R)
         c, s = cos[rot], sin[rot]
-        h = parts[0][:, win] * c
-        h += parts[2][:, win] * s
-        ho = parts[1][:, win] * c
-        ho += parts[3][:, win] * s
-        lows[cols], vec = _pencil_floor(h, ho, md[:, win], mo[:, win], dims[win])
+        h = parts[0].take(win, 1) * c
+        h += parts[2].take(win, 1) * s
+        ho = parts[1].take(win, 1) * c
+        ho += parts[3].take(win, 1) * s
+        lows[cols], vec = _pencil_floor(h, ho, parts[4].take(win, 1),
+                                        parts[5].take(win, 1), dims[win])
         del h, ho
-        re = _quad(parts[0][:, win], parts[1][:, win], vec)
-        im = _quad(parts[2][:, win], parts[3][:, win], vec)
-        samples[cols] = (re + 1j * im) / _quad(md[:, win], mo[:, win], vec)
+        re, im, mass = (_quad(parts[i].take(win, 1), parts[i + 1].take(win, 1), vec)
+                        for i in (0, 2, 4))
+        samples[cols] = (re + 1j * im) / mass
     if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(samples))):
         raise NumericError("rotation sweep produced non-finite values")
     return lows.reshape(W, R), samples.reshape(W, R)

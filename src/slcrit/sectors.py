@@ -230,8 +230,10 @@ def fit_sector(points, require_strict_args: bool = False,
 
     With ``translate_vertex`` the vertex is chosen among support points of the
     cloud (the first point extreme in each of 32 directions), minimising the
-    angular span; otherwise the vertex is pinned at 0 and the fit is the plain
-    angular hull of the points.  Points within 1e-12 of the cloud's scale from
+    angular span; among spans within 1e-12 of the least, the vertex with the
+    smallest real part, then the smallest imaginary part, wins.  Otherwise the
+    vertex is pinned at 0 and the fit is the plain angular hull of the
+    points.  Points within 1e-12 of the cloud's scale from
     the vertex do not count.  With ``require_strict_args`` a sector is only
     returned when it admits direction bounds strictly inside (-pi, pi), i.e.
     the cone avoids the negative real axis.
@@ -275,11 +277,10 @@ def fit_sector(points, require_strict_args: bool = False,
         if pts.size:
             arcs.add(pts, tol)
 
-    fit = None
-    for vertex, (span, start) in zip(arcs.vertices, arcs.fits()):
-        if fit is None or span < fit[0] - 1e-12:
-            fit = (span, start, complex(vertex))
-    span, start, vertex = fit
+    fits = [(span, start, complex(v)) for v, (span, start) in zip(arcs.vertices, arcs.fits())]
+    least = min(fit[0] for fit in fits)
+    span, start, vertex = min((fit for fit in fits if fit[0] <= least + 1e-12),
+                              key=lambda fit: (fit[2].real, fit[2].imag))
     if span >= _MAX_OPENING:
         return None
     sector = Sector(vertex, start, start + span)

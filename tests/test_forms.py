@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import slcrit as sl
-from slcrit import forms, potential, quadrature, sampling
+from slcrit import forms, potential, quadrature, sampling, sectors
 from slcrit.errors import NumericError, ValidationError
 
 PI2 = math.pi ** 2
@@ -310,9 +312,89 @@ def _dense_floor(w, theta):
     return float(scipy.linalg.eigh(H, w.M, eigvals_only=True)[0])
 
 
+def _exactly_definite(h, ho, m, mo, x):
+    """Whether H - x M is positive definite, in exact rational arithmetic.
+
+    The pencil is tridiagonal in natural order (ho[i] couples rows i-1 and
+    i).  Every float is an integer over a power of two, so the shifted
+    entries are integers t_i, e_i over one common denominator, and scaled
+    minors obey the integer continuant p_j = t p_{j-1} - e^2 p_{j-2}.  The
+    matrix is definite exactly when the leading minors of rows 0..k-1, the
+    trailing minors of rows k+1..n-1 and the determinant are all positive
+    (Sylvester, split at the middle row k to halve the integers' length).
+    """
+    def scaled(values):
+        ratios = [v.as_integer_ratio() for v in values]
+        den = max(d for _, d in ratios)
+        return [n * (den // d) for n, d in ratios], den
+
+    def minors(t, e):
+        out = [1, t[0]]
+        for ti, ei in zip(t[1:], e[1:]):
+            out.append(ti * out[-1] - ei * ei * out[-2])
+        return out
+
+    (hn, dh), (mn, dm) = scaled(h.tolist() + ho.tolist()), scaled(m.tolist() + mo.tolist())
+    xn, dx = x.as_integer_ratio()
+    shifted = [a * dx * dm - xn * b * dh for a, b in zip(hn, mn)]
+    t, e, k = shifted[:h.size], shifted[h.size:], h.size // 2
+    top, bottom = minors(t[:k], e[:k]), minors(t[:k:-1], [0] + e[:k + 1:-1])
+    det = ((t[k] * top[-1] - e[k] ** 2 * top[-2]) * bottom[-1]
+           - e[k + 1] ** 2 * top[-1] * bottom[-2])
+    return min(top + bottom) > 0 and det > 0
+
+
+def _certified_exactly(windows, thetas):
+    """Sweep the windows and check every returned bound on the very pencil
+    the kernel was handed, converted exactly to rationals."""
+    handed = []
+    kernel = forms._pencil_floor
+
+    def capture(h, ho, m, mo, dims):
+        arrays = [a.copy() for a in (h, ho, m, mo)]
+        lower, vec = kernel(h, ho, m, mo, dims)
+        handed.append((arrays, lower))
+        return lower, vec
+
+    forms._pencil_floor = capture
+    try:
+        lows, samples = forms._rotation_sweep(windows, thetas)
+    finally:
+        forms._pencil_floor = kernel
+    for (h, ho, m, mo), lower in handed:
+        order, couple = forms._twist(h.shape[0])
+        nat = [np.empty_like(h), np.zeros_like(ho), np.empty_like(m), np.zeros_like(mo)]
+        nat[0][order], nat[2][order] = h, m
+        nat[1][couple[:-1]], nat[3][couple[:-1]] = ho[:-1], mo[:-1]
+        for k, x in enumerate(lower):
+            assert _exactly_definite(*(a[:, k] for a in nat), x)
+    return lows, samples
+
+
+def test_exact_oracle_agrees_with_rational_pivots():
+    # both verdicts occur, so an oracle that always said yes would fail here
+    rng = np.random.default_rng(6)
+    verdicts = set()
+    for n in range(3, 12):
+        for _ in range(8):
+            h, ho = rng.normal(size=n) + 3.0, np.append(0.0, rng.normal(size=n - 1))
+            m, mo = np.full(n, 1.0), np.append(0.0, np.full(n - 1, 0.2))
+            x = float(rng.normal())
+            t = [Fraction(a) - Fraction(x) * Fraction(b) for a, b in zip(h, m)]
+            e = [Fraction(a) - Fraction(x) * Fraction(b) for a, b in zip(ho, mo)]
+            d, definite = t[0], t[0] > 0
+            for i in range(1, n):
+                if definite:
+                    d = t[i] - e[i] ** 2 / d
+                    definite = d > 0
+            assert _exactly_definite(h, ho, m, mo, x) == definite
+            verdicts.add(definite)
+    assert verdicts == {True, False}
+
+
 def _check_sweep(windows, angles=16):
     thetas = np.arange(angles) * (2.0 * math.pi / angles)
-    lows, samples = forms._rotation_sweep(windows, thetas)
+    lows, samples = _certified_exactly(windows, thetas)
     eps = np.finfo(float).eps
     for w, low, zs in zip(windows, lows, samples):
         for theta, lam, z in zip(thetas, low, zs):
@@ -383,16 +465,20 @@ def test_kernel_on_indefinite_gauge_form():
     assert lows.max() <= 1e-12
 
 
-def _sturm_lambda_min(windows, iters=64):
-    """Smallest eigenvalue of each real pencil (Re B, M), by bisection on the
+def _sturm_lambda_min(windows, thetas=(0.0,), iters=64):
+    """Smallest eigenvalue of each rotated pencil (cos t Re B + sin t Im B, M),
+    one row per window and one column per angle t, by bisection on the
     inertia of H - x M: x lies above lambda_min exactly when some LDL^T pivot
-    is negative.  The pivots run in long double, over all windows at once."""
+    is negative.  H is rounded to double as the kernel is handed it; the
+    pivots run in long double, over all pencils at once."""
     ld = np.longdouble
-    dims = np.asarray([w.dim for w in windows])
+    thetas = np.asarray(thetas, dtype=float)
+    dims = np.repeat([w.dim for w in windows], thetas.size)
     live = np.arange(dims.max())[:, None] < dims
     h, ho, m, mo = (np.zeros(live.shape, ld) for _ in range(4))
-    for k, w in enumerate(windows):
-        h[:w.dim, k], ho[1:w.dim, k] = w.B_bands[0].real, w.B_bands[1].real
+    for k, (w, t) in enumerate((w, t) for w in windows for t in thetas):
+        d, off = (math.cos(t) * b.real + math.sin(t) * b.imag for b in w.B_bands)
+        h[:w.dim, k], ho[1:w.dim, k] = d, off
         m[:w.dim, k], mo[1:w.dim, k] = w.M_bands
     m[~live] = 1.0
 
@@ -415,32 +501,57 @@ def _sturm_lambda_min(windows, iters=64):
             mid = 0.5 * (lo + hi)
             up = above(mid)
             hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-    return (0.5 * (lo + hi)).astype(float)
+    return (0.5 * (lo + hi)).astype(float).reshape(len(windows), thetas.size)
 
 
-def test_real_lambda_min_matches_long_double_sturm_count():
-    # breakpoints 10^-5.5 to 10^-2 of a cell off a mesh node, every other
-    # window with two of them by the same node, leave short elements whose
-    # eigenvalues dwarf lambda_min; scipy's subset driver missed by 7e-3 here
-    rng = np.random.default_rng(1)
+def _near_node_windows(rng, count, complex_valued=False):
+    """Windows [1, 2] whose breakpoints sit 10^-5.5 to 10^-2 of a cell off a
+    mesh node, every other one with two of them by the same node: the short
+    elements leave eigenvalues that dwarf lambda_min."""
     windows = []
-    for case in range(90):
+    for case in range(count):
         n = int(rng.choice([32, 64, 128]))
         nodes = rng.choice(np.arange(1, n), size=3, replace=False)
         if case % 2:
             nodes[1] = nodes[0]
         off = 10.0 ** rng.uniform(-5.5, -2.0, size=3) * rng.choice([-1, 1], size=3)
         cuts = np.unique(1.0 + (nodes + off) / n)
-        pieces = [(sl.PolyTerm(tuple(complex(c) for c in rng.uniform(-5.0, 5.0, 4))),)
-                  for _ in range(cuts.size + 1)]
+        coeffs = rng.uniform(-5.0, 5.0, (cuts.size + 1, 4))
+        if complex_valued:
+            coeffs = coeffs + 1j * rng.uniform(-5.0, 5.0, coeffs.shape)
+        pieces = [(sl.PolyTerm(tuple(complex(c) for c in row)),) for row in coeffs]
         s = sl.Antiderivative(3.0, (0.0, *cuts, 3.0), tuple(pieces))
         windows.append(forms.assemble(s, sl.Interval(1.0, 2.0), n))
-    ref = _sturm_lambda_min(windows)
+    return windows
+
+
+def test_real_lambda_min_matches_long_double_sturm_count():
+    # scipy's subset driver missed by 7e-3 on these windows
+    windows = _near_node_windows(np.random.default_rng(1), 90)
+    ref = _sturm_lambda_min(windows)[:, 0]
     got = np.asarray([forms.herm_lambda_min(w) for w in windows])
     assert np.all(np.abs(got - ref) <= 1e-6 * np.maximum(np.abs(ref), 1.0))
     # the scan's real path reads the same lambda_min
     lows = [forms.range_boundary(w, angles=16).lambda_mins[0] for w in windows[:4]]
     assert np.array_equal(lows, got[:4])
+
+
+def test_kernel_matches_long_double_sturm_count_on_stiff_complex_windows():
+    # the dense generalized solver itself misses by up to 8.7e-5 here, so the
+    # reference is the inertia count of the rotated pencil.  The bound stays
+    # certified to 64 eps; its distance below the count is the backoff, eps
+    # times the eigenvector-weighted |H|, which the short elements' large
+    # entries lift to 1.03e-7 relative on these windows (median 5e-15)
+    windows = _near_node_windows(np.random.default_rng(5), 24, complex_valued=True)
+    thetas = np.arange(16) * (2.0 * math.pi / 16)
+    lows, samples = forms._rotation_sweep(windows, thetas)
+    ref = _sturm_lambda_min(windows, thetas)
+    scale = np.maximum(np.abs(ref), 1.0)
+    eps = np.finfo(float).eps
+    assert np.all(lows <= ref + 64 * eps * scale)
+    assert np.all(ref - lows <= 2e-7 * scale)
+    rotated = (np.exp(-1j * thetas) * samples).real
+    assert np.all(lows <= rotated + 64 * eps * np.maximum(np.abs(rotated), 1.0))
 
 
 def test_non_finite_form_entries_raise():
@@ -462,3 +573,36 @@ def test_kernel_on_huge_coefficients():
     scan = forms.localization_scan(s, n=48, angles=16)
     for r in scan.rows:
         assert all(math.isfinite(v) for v in (r.herm_lambda_min, r.inf_lower, r.inf_upper))
+
+
+def test_rotation_sweep_working_set_stays_near_three_mib():
+    # the chunking keeps the sweep's arrays near 3 MiB at any window count:
+    # eight mesh-512 windows, two chunks of 64 columns
+    s = sl.from_poly((0.3, 1j, 0.2 + 0.1j), 9.0)
+    windows = [forms.assemble(s, sl.Interval(0.5 * k, 0.5 * k + 1.0), 512) for k in range(2)] * 4
+    thetas = np.arange(16) * (2.0 * math.pi / 16)
+    tracemalloc.start()
+    try:
+        forms._rotation_sweep(windows, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 20
+
+
+def test_imaginary_slope_scan_sectors_start_at_lambda_min():
+    # B = A + i M: the range is a horizontal segment, and every window
+    # reports it from its left end, as real windows do
+    s = sl.from_poly((2.07 + 1.45j, 1j), 4.1)
+    scan = forms.localization_scan(s)
+    for row in scan.rows:
+        assert row.sector.alpha == pytest.approx(0.0, abs=1e-12)
+        assert row.sector.beta == pytest.approx(0.0, abs=1e-12)
+        assert row.sector.vertex.real == pytest.approx(row.herm_lambda_min, rel=1e-9)
+    # tiny noise on the samples leaves the choice of end alone
+    rng = np.random.default_rng(7)
+    z = scan.rows[2].boundary
+    for _ in range(200):
+        noisy = z * (1.0 + 1e-14 * rng.standard_normal(z.size))
+        sec = sectors.fit_sector(noisy, require_strict_args=False, translate_vertex=True)
+        assert abs(sec.alpha) <= 1e-12 and abs(sec.beta) <= 1e-12

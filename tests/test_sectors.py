@@ -23,18 +23,19 @@ def _sorted_fit(points, require_strict_args=False, translate_vertex=True):
         candidates = pts[sorted(idx)]
     else:
         candidates = np.asarray([0j])
-    best = None
+    fits = []
     for vertex in candidates:
         rel = pts - vertex
         rel = rel[np.abs(rel) > tol]
         if rel.size == 0:
-            fit = (0.0, 0.0, complex(vertex))
+            fits.append((0.0, 0.0, complex(vertex)))
         else:
             start, span = minimal_arc(np.angle(rel))
-            fit = (span, start, complex(vertex))
-        if best is None or fit[0] < best[0] - 1e-12:
-            best = fit
-    span, start, vertex = best
+            fits.append((span, start, complex(vertex)))
+    # ties within 1e-12 of the least span go to the leftmost, then lowest, vertex
+    least = min(fit[0] for fit in fits)
+    ties = [fit for fit in fits if fit[0] <= least + 1e-12]
+    span, start, vertex = min(ties, key=lambda fit: (fit[2].real, fit[2].imag))
     if span >= math.pi - 1e-12:
         return None
     sector = Sector(vertex, start, start + span)
