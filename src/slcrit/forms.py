@@ -17,12 +17,13 @@ rotated Hermitian eigenproblems: |q| >= Re(e^{-i theta} q) makes every
 rotation's smallest eigenvalue a lower bound, while each eigenvector is an
 attained Rayleigh value and hence an upper-bound witness.  A complex form is
 swept by one batched kernel over all windows x rotations: Laguerre steps
-driven by the LDL^T pivot recurrence, Sturm-count multisection for the
-stragglers, and inverse iteration for the eigenvectors.  Its lower end is the
-largest shift with a positive definite factorization, backed off by the
-recurrence's backward error, so it is certified for the discrete pencil up to
-that error.  Discretization restricts to a subspace, so the continuum infimum
-can only be smaller than the discrete one; both bounds are reported.
+driven by the twisted LDL^T pivot recurrence (both ends towards the middle
+row), Sturm-count multisection for the stragglers, and inverse iteration for
+the eigenvectors.  Its lower end is the largest shift with a positive
+definite factorization, backed off by the recurrence's backward error, so it
+is certified for the discrete pencil up to that error.  Discretization
+restricts to a subspace, so the continuum infimum can only be smaller than
+the discrete one; both bounds are reported.
 """
 
 from __future__ import annotations
@@ -264,11 +265,10 @@ def _check_finite(w: WindowForm) -> None:
 
 
 def _twist(n):
-    """Row order and coupling rows of the twisted layout of odd order n: rows
-    0, n-1, 1, n-2, ... and the middle row k last, each with the coupling
-    (index into the natural couplings, 0 for none) towards the middle.  Rows
-    [:-1] then reshape without a copy into k stacked rows, the top rows
-    0..k-1 beside the bottom rows n-1..k+1, which run towards row k."""
+    """Rows 0, n-1, 1, n-2, ... of odd order n with the middle row k last, and
+    each row's natural coupling towards the middle (0: none).  Rows [:-1]
+    reshape without a copy into k stacked rows: the top rows 0..k-1 beside
+    the bottom rows n-1..k+1, both running towards row k."""
     k = n // 2
     order = np.append(np.stack([np.arange(k), np.arange(n - 1, k, -1)], 1).ravel(), k)
     return order, np.append(np.where(order[:-1] < k, order[:-1] + 1, order[:-1]), 0)

@@ -232,11 +232,11 @@ def fit_sector(points, require_strict_args: bool = False,
     cloud (the first point extreme in each of 32 directions), minimising the
     angular span; among spans within 1e-12 of the least, the vertex with the
     smallest real part, then the smallest imaginary part, wins.  Otherwise the
-    vertex is pinned at 0 and the fit is the plain angular hull of the
-    points.  Points within 1e-12 of the cloud's scale from
-    the vertex do not count.  With ``require_strict_args`` a sector is only
-    returned when it admits direction bounds strictly inside (-pi, pi), i.e.
-    the cone avoids the negative real axis.
+    vertex is pinned at 0 and the fit is the plain angular hull of the points.
+    Points within 1e-12 of the cloud's scale from the vertex do not count.
+    With ``require_strict_args`` a sector is only returned when it admits
+    direction bounds strictly inside (-pi, pi), i.e. the cone avoids the
+    negative real axis.
     """
     chunks = _chunks(points)
     # first pass: the scale, and the running first extreme in each direction
