@@ -15,15 +15,16 @@ is stored as its diagonal and off-diagonal; dense views are built on demand.
 Certified bounds on inf |l_I[y]| over the discrete unit sphere come from
 rotated Hermitian eigenproblems: |q| >= Re(e^{-i theta} q) makes every
 rotation's smallest eigenvalue a lower bound, while each eigenvector is an
-attained Rayleigh value and hence an upper-bound witness.  A complex form is
-swept by one batched kernel over all windows x rotations: Laguerre steps
-driven by the twisted LDL^T pivot recurrence (both ends towards the middle
-row), Sturm-count multisection for the stragglers, and inverse iteration for
-the eigenvectors.  Its lower end is the largest shift with a positive
-definite factorization, backed off by the recurrence's backward error, so it
-is certified for the discrete pencil up to that error.  Discretization
-restricts to a subspace, so the continuum infimum can only be smaller than
-the discrete one; both bounds are reported.
+attained Rayleigh value and hence an upper-bound witness.  One batched kernel
+sweeps windows x rotations (a real form only at 0 and pi, the ends of its
+interval range): Laguerre steps driven by the twisted LDL^T pivot recurrence
+(both ends towards the middle row), Sturm-count multisection for the
+stragglers, and inverse iteration for the eigenvectors.  Each lower end is
+the largest shift with a positive definite factorization, backed off by the
+recurrence's backward error, so every reported bound is certified for the
+discrete pencil up to that error.  Discretization restricts to a subspace,
+so the continuum infimum can only be smaller than the discrete one.  A scan
+slices its windows' bands out of span assemblies on one mesh lattice.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import quadrature, sectors
 from .errors import NumericError, ValidationError
-from .potential import Antiderivative, Interval
+from .potential import Antiderivative, Interval, RecipTerm
 from .sectors import Sector
 
 
@@ -96,10 +97,8 @@ def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WindowForm:
-    """Window form on a zero-boundary hat basis, as (diagonal, off-diagonal) pairs.
-
-    The dense matrices ``M`` and ``B`` are built on demand.
-    """
+    """Window form on a zero-boundary hat basis, as (diagonal, off-diagonal)
+    pairs; the dense matrices ``M`` and ``B`` are built on demand."""
 
     interval: Interval
     n: int
@@ -123,11 +122,15 @@ class WindowForm:
         return _dense(*self.B_bands)
 
 
-def _weighted_tridiags(fn, nodes: np.ndarray, rtol: float):
-    """Per-element integrals (I0, I1) = (int fn, int fn*x) over mesh elements."""
+def _derivative_bands(fn, nodes: np.ndarray, rtol: float) -> tuple:
+    """Bands of int fn (phi_i phi_j)' from the element integrals of fn and fn x."""
     i0 = quadrature.integrate_many(fn, nodes, rtol=rtol)
     i1 = quadrature.integrate_many(lambda x: fn(x) * x, nodes, rtol=rtol)
-    return i0, i1
+    xl, xr, h = nodes[:-1], nodes[1:], np.diff(nodes)
+    d_left = (-2.0 / h ** 2) * (xr * i0 - i1)       # int fn (phi_l^2)'
+    d_right = (2.0 / h ** 2) * (i1 - xl * i0)       # int fn (phi_r^2)'
+    o_mid = (1.0 / h ** 2) * ((xl + xr) * i0 - 2.0 * i1)
+    return d_right[:-1] + d_left[1:], o_mid[1:-1]
 
 
 def assemble(s: Antiderivative, interval: Interval, n: int,
@@ -159,21 +162,11 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
     A = (inv_h[:-1] + inv_h[1:], -inv_h[1:-1])
     M = ((h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0)
 
-    i0, i1 = _weighted_tridiags(s.values, nodes, rtol)
-    d_left = (-2.0 / h ** 2) * (xr * i0 - i1)       # int s (phi_l^2)'
-    d_right = (2.0 / h ** 2) * (i1 - xl * i0)       # int s (phi_r^2)'
-    o_mid = (1.0 / h ** 2) * ((xl + xr) * i0 - 2.0 * i1)
-    P = (d_right[:-1] + d_left[1:], o_mid[1:-1])
-
+    P = _derivative_bands(s.values, nodes, rtol)
     b_diag, b_off = A[0] - P[0], A[1] - P[1]
     gauge_meta = None
     if gauge is not None:
-        q0, q1 = _weighted_tridiags(g.values, nodes, rtol)
-        ql = (-2.0 / h ** 2) * (xr * q0 - q1)
-        qr = (2.0 / h ** 2) * (q1 - xl * q0)
-        qo = (1.0 / h ** 2) * ((xl + xr) * q0 - 2.0 * q1)
-        Q = ((qr[:-1] + ql[1:]).real, qo[1:-1].real)
-
+        Q = [band.real for band in _derivative_bands(g.values, nodes, rtol)]
         g2 = lambda x: np.abs(g.values(x)) ** 2
         j0 = quadrature.integrate_many(g2, nodes, rtol=rtol).real
         j1 = quadrature.integrate_many(lambda x: g2(x) * x, nodes, rtol=rtol).real
@@ -198,41 +191,21 @@ def form_value(w: WindowForm, c: np.ndarray) -> complex:
     c = np.asarray(c, dtype=complex)
     if c.shape != (w.dim,):
         raise ValidationError(f"coefficient vector must have shape ({w.dim},)")
-    diag, off = w.B_bands
-    bc = diag * c
-    bc[:-1] += off * c[1:]
-    bc[1:] += off * c[:-1]
-    return complex(c.conj() @ bc)
+    return _bilinear(w.B_bands, c.conj(), c)
 
 
-def _reduced(w: WindowForm):
-    """The real pencil (Re B, M) as one symmetric matrix with its eigenvalues.
-
-    With M = L L^T and T a row permutation of L^-1, C = T Re(B) T^T has the
-    pencil's eigenvalues, and an eigenvector u of C gives the pencil's
-    eigenvector T^T u (Golub & Van Loan, Matrix Computations, 8.7).  M is
-    tridiagonal, so L is bidiagonal and column j of L^-1 is 1/l_j times the
-    running product of the ratios -L[i, i-1] / l_i from row j on.
-
-    A breakpoint next to a mesh node leaves a short element whose rows of C
-    are large.  The dense solver resolves lambda_min far better with those
-    rows first (largest miss 3e-3 in mesh order, 4e-8 reordered, over 90
-    windows with breakpoints 1e-5.5 to 1e-2 of a cell off a node), so T puts
-    the rows in ascending order of the mass diagonal.  Returns (T, C).
-    """
-    _check_finite(w)
-    L = np.linalg.cholesky(w.M)
-    l = np.diag(L)
-    ratios = np.concatenate([[1.0], -np.diag(L, -1) / l[1:]])
-    below = np.tri(l.size, k=-1, dtype=bool)
-    inv = np.tril(np.cumprod(np.where(below, ratios[:, None], 1.0), axis=0)) / l
-    T = inv[np.argsort(w.M_bands[0], kind="stable")]
-    return T, T @ _dense(w.B_bands[0].real, w.B_bands[1].real) @ T.T
+def _bilinear(bands, x, y) -> complex:
+    """x^T T y for the tridiagonal T of a (diagonal, off-diagonal) pair."""
+    diag, off = bands
+    ty = diag * y
+    ty[:-1] += off * y[1:]
+    ty[1:] += off * y[:-1]
+    return complex(x @ ty)
 
 
 def herm_lambda_min(w: WindowForm) -> float:
-    """Smallest eigenvalue of (Herm(B), M): the semi-boundedness margin."""
-    return float(np.linalg.eigvalsh(_reduced(w)[1])[0])
+    """Certified smallest eigenvalue of (Herm(B), M), swept at 0 and pi."""
+    return float(_rotation_sweep([w], _REAL_THETAS)[0][0, 0])
 
 
 # -- batched tridiagonal pencil kernel ----------------------------------------
@@ -258,10 +231,8 @@ _BACKWARD_EPS = 8.0
 
 
 def _check_finite(w: WindowForm) -> None:
-    for bands in (w.B_bands, w.M_bands):
-        for arr in bands:
-            if not np.all(np.isfinite(arr)):
-                raise NumericError("window form has non-finite matrix entries")
+    if not all(np.isfinite(arr).all() for arr in (*w.B_bands, *w.M_bands)):
+        raise NumericError("window form has non-finite matrix entries")
 
 
 def _twist(n):
@@ -526,8 +497,9 @@ def _quad(diag, off, v):
     return (v * _apply(diag, off, v)).sum(0)
 
 
-def _rotation_sweep(windows, thetas):
-    """Certified lambda_min and attained boundary sample per window and rotation.
+def _rotation_sweep(windows, thetas, vectors=False):
+    """Certified lambda_min and attained boundary sample per window and rotation
+    (with ``vectors``, also their eigenvectors in natural order).
 
     The windows are padded to one odd dimension with decoupled copies of
     their last row, whose eigenvalue is a Rayleigh quotient and so not below
@@ -552,6 +524,7 @@ def _rotation_sweep(windows, thetas):
     cos, sin = np.cos(thetas), np.sin(thetas)
     lows = np.empty(W * R)
     samples = np.empty(W * R, dtype=complex)
+    vecs = np.empty((N, W * R)) if vectors else None
     chunks = -(-W * R // max(_CHUNK_COLUMNS, _CHUNK_ELEMENTS // N))
     for cols in np.array_split(np.arange(W * R), chunks):
         win, rot = np.divmod(cols, R)
@@ -562,13 +535,16 @@ def _rotation_sweep(windows, thetas):
         ho += parts[3].take(win, 1) * s
         lows[cols], vec = _pencil_floor(h, ho, parts[4].take(win, 1),
                                         parts[5].take(win, 1), dims[win])
+        if vectors:
+            vecs[np.ix_(order, cols)] = vec
         del h, ho
         re, im, mass = (_quad(parts[i].take(win, 1), parts[i + 1].take(win, 1), vec)
                         for i in (0, 2, 4))
         samples[cols] = (re + 1j * im) / mass
     if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(samples))):
         raise NumericError("rotation sweep produced non-finite values")
-    return lows.reshape(W, R), samples.reshape(W, R)
+    out = lows.reshape(W, R), samples.reshape(W, R)
+    return out + (vecs.T.reshape(W, R, N),) if vectors else out
 
 
 @dataclass(frozen=True)
@@ -584,12 +560,9 @@ class RangeEstimate:
 
 
 def _is_real(w: WindowForm) -> bool:
-    b_diag, b_off = w.B_bands
-    scale = max(1.0, float(np.abs(b_diag.real).max()),
-                float(np.abs(b_off.real).max(initial=0.0)))
-    imag = max(float(np.abs(b_diag.imag).max()),
-               float(np.abs(b_off.imag).max(initial=0.0)))
-    return imag <= 1e-14 * scale
+    diag, off = w.B_bands
+    scale = max(1.0, np.abs(diag.real).max(), np.abs(off.real).max(initial=0.0))
+    return max(np.abs(diag.imag).max(), np.abs(off.imag).max(initial=0.0)) <= 1e-14 * scale
 
 
 def _rotations(angles: int) -> np.ndarray:
@@ -598,40 +571,38 @@ def _rotations(angles: int) -> np.ndarray:
     return np.arange(angles) * (2.0 * math.pi / angles)
 
 
-def _real_range(w: WindowForm, thetas: np.ndarray) -> RangeEstimate:
-    """A real form's range is the interval between its extreme eigenvalues."""
-    T, C = _reduced(w)
-    lam = np.linalg.eigvalsh(C)
-    lam_lo, lam_hi = float(lam[0]), float(lam[-1])
-    lows = np.where(np.cos(thetas) >= 0.0, np.cos(thetas) * lam_lo,
-                    np.cos(thetas) * lam_hi)
-    samples = np.where(np.cos(thetas) >= 0.0, lam_lo, lam_hi).astype(complex)
-    lower = max(0.0, float(lows.max()))
-    if lam_lo < 0.0 < lam_hi:
-        # the real range is the whole interval, so 0 is attained; build
-        # the explicit witness by mixing the M-orthogonal extreme vectors
-        v_lo, v_hi = (T.T @ np.linalg.eigh(C)[1][:, [0, -1]]).T
-        t = math.atan(math.sqrt(-lam_lo / lam_hi))
-        mix = math.cos(t) * v_lo + math.sin(t) * v_hi
-        norm = float(np.real(mix.conj() @ (w.M @ mix)))
-        upper = abs(complex(mix.conj() @ (w.B @ mix)) / norm)
-    else:
-        upper = min(abs(lam_lo), abs(lam_hi))
-    sector = sectors.fit_sector(np.asarray([lam_lo, lam_hi], dtype=complex),
-                                require_strict_args=False,
-                                translate_vertex=True)
-    return RangeEstimate(boundary=samples, sector=sector,
-                         inf_modulus_lower=lower, inf_modulus_upper=upper,
-                         rotations=thetas, lambda_mins=lows)
+#: the rotations whose bounds end a real form's range: lambda_lo, -lambda_hi
+_REAL_THETAS = np.array([0.0, math.pi])
+
+
+def _real_ranges(windows, thetas: np.ndarray) -> list:
+    """Real forms' ranges, the intervals [lambda_lo, lambda_hi] of their pencils.
+
+    One sweep at 0 and pi certifies both ends; each eigenvector attains its
+    Rayleigh value; rotation theta takes cos(theta) times the nearer end.  A
+    range over 0 attains it at a real zero of the 2x2 form on the two vectors.
+    """
+    lows, samples, vecs = _rotation_sweep(windows, _REAL_THETAS, vectors=True)
+    right = np.cos(thetas) >= 0.0
+    ests = []
+    for w, (lo, hi), z, (v0, v1) in zip(windows, lows, samples, vecs):
+        upper = float(np.abs(z).min())
+        if z[0].real < 0.0 < z[1].real:
+            v0, v1 = v0[:w.dim], v1[:w.dim]
+            q = [_bilinear(w.B_bands, x, y).real for x, y in ((v0, v0), (v0, v1), (v1, v1))]
+            a, b, c = np.asarray(q) / max(map(abs, q))
+            mix = v0 - (b + math.copysign(math.sqrt(b * b - a * c), b)) / c * v1
+            upper = abs(_bilinear(w.B_bands, mix, mix)) / _bilinear(w.M_bands, mix, mix).real
+        ests.append(RangeEstimate(np.where(right, z[0], z[1]), Sector(lo, 0.0, 0.0),
+                                  float(max(0.0, lo, hi)), upper, thetas,
+                                  np.cos(thetas) * np.where(right, lo, -hi)))
+    return ests
 
 
 def _swept_range(thetas, lows, samples) -> RangeEstimate:
-    sector = sectors.fit_sector(samples, require_strict_args=False,
-                                translate_vertex=True)
-    return RangeEstimate(boundary=samples, sector=sector,
-                         inf_modulus_lower=max(0.0, float(lows.max())),
-                         inf_modulus_upper=float(np.abs(samples).min()),
-                         rotations=thetas, lambda_mins=lows)
+    sector = sectors.fit_sector(samples, require_strict_args=False, translate_vertex=True)
+    return RangeEstimate(samples, sector, max(0.0, float(lows.max())),
+                         float(np.abs(samples).min()), thetas, lows)
 
 
 def range_boundary(w: WindowForm, angles: int = 64) -> RangeEstimate:
@@ -642,16 +613,12 @@ def range_boundary(w: WindowForm, angles: int = 64) -> RangeEstimate:
     eigenvector attains a boundary point.  The assembled B is complex
     symmetric, so Herm(e^{-i theta} B) = cos(theta) Re B + sin(theta) Im B.
     The fitted sector is the minimal one over the attained samples (vertex
-    translated to a support point); None when the samples span >= pi.
-
-    A real form matrix makes the numerical range the exact interval between
-    the extreme pencil eigenvalues, so that case is resolved by a single
-    dense eigendecomposition; a complex one goes through the batched
-    tridiagonal kernel, one column per rotation.
+    translated to a support point); None when the samples span >= pi.  A
+    real form's range is an interval, swept at 0 and pi (``_real_ranges``).
     """
     thetas = _rotations(angles)
     if _is_real(w):
-        return _real_range(w, thetas)
+        return _real_ranges([w], thetas)[0]
     lows, samples = _rotation_sweep([w], thetas)
     return _swept_range(thetas, lows[0], samples[0])
 
@@ -687,59 +654,84 @@ class ScanResult:
 
 def scan_windows(domain_end: float) -> list[Interval]:
     """Both localization families inside [0, X]: [k-1, k] and [k-1/2, k+1/2]."""
-    windows = []
-    k = 1
-    while k <= domain_end + 1e-12:
-        windows.append(Interval(float(k - 1), float(k)))
-        if k + 0.5 <= domain_end + 1e-12:
-            windows.append(Interval(k - 0.5, k + 0.5))
-        k += 1
-    windows.sort(key=lambda w: w.a)
-    return windows
+    ks = range(1, int(domain_end + 1e-12) + 1)
+    return sorted([Interval(float(k - 1), float(k)) for k in ks]
+                  + [Interval(k - 0.5, k + 0.5) for k in ks if k + 0.5 <= domain_end + 1e-12],
+                  key=lambda w: w.a)
+
+
+def _spans(s: Antiderivative, wins: list, n: int):
+    """Spans of scan windows on one lattice a + Z/n (one for an even n, two for
+    an odd one) of at most ``quadrature.BATCH_PANELS`` mesh elements, or
+    one window; yields each span and the indices of its windows."""
+    bp = np.asarray(s.breakpoints)
+    for lattice in (0, 1):
+        run = [k for k, win in enumerate(wins) if int(2 * win.a * n) % 2 == lattice]
+        while run:
+            a, m = wins[run[0]].a, 1
+            while m < len(run) and (n * (wins[run[m]].b - a) + bp.searchsorted(
+                    wins[run[m]].b) - bp.searchsorted(a, "right")) <= quadrature.BATCH_PANELS:
+                m += 1
+            yield Interval(a, wins[run[m - 1]].b), run[:m]
+            run = run[m:]
+
+
+def _window_of(span: WindowForm, win: Interval) -> WindowForm | None:
+    """Window ``win``'s form as a principal sub-pencil (slices) of a span form on
+    its lattice; None when a breakpoint near an end took that end's place."""
+    i, j = span.nodes.searchsorted([win.a, win.b])
+    if j >= span.nodes.size or span.nodes[i] != win.a or span.nodes[j] != win.b:
+        return None
+    bands = [(d[i:j - 1], o[i:j - 2])
+             for d, o in (span.A_bands, span.P_bands, span.M_bands, span.B_bands)]
+    return WindowForm(win, span.n, span.nodes[i:j + 1], *bands)
 
 
 def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> ScanResult:
     """Per-window sector and inf-modulus table over both window families.
 
-    Real windows take the single dense decomposition; all complex windows
-    are swept together in one batch of the tridiagonal kernel.  The summary
-    re-fits one vertex for the hull of the per-window angles over all
-    boundary samples and flags whether the inf-modulus lower bounds are
-    non-decreasing along the window sequence.
+    Each window is a slice of a span assembly (``_spans``), bitwise its own
+    ``assemble``; one over a piece of s with a reciprocal term, which the
+    quadrature refines to a tolerance relative to its range, is assembled
+    alone.  A span's real windows are swept at once, all complex ones at the
+    end.  The summary re-fits one vertex for the hull of the per-window
+    angles over all boundary samples and flags monotone lower bounds.
     """
     if s.domain_end < 2.0:
         raise ValidationError("scan needs domain_end >= 2 for a full window pair")
     thetas = _rotations(angles)
+    if n < 8:
+        raise ValidationError("mesh resolution n must be >= 8")
     wins = scan_windows(s.domain_end)
-    assembled = [assemble(s, win, n) for win in wins]
-    swept = [k for k, w in enumerate(assembled) if not _is_real(w)]
-    ests = [None] * len(wins)
+    bp = np.asarray(s.breakpoints)
+    curved = np.cumsum([0] + [any(isinstance(t, RecipTerm) for t in p) for p in s.pieces])
+    alone = (curved[bp.searchsorted([w.b for w in wins])]
+             > curved[bp.searchsorted([w.a for w in wins], "right") - 1])
+    ests, swept = {}, {}
+    for interval, run in _spans(s, wins, n):
+        whole = None if alone[run].all() else assemble(s, interval, round(n * interval.length))
+        group = {k: (None if alone[k] else _window_of(whole, wins[k]))
+                 or assemble(s, wins[k], n) for k in run}
+        real = [k for k in run if _is_real(group[k])]
+        ests.update(zip(real, _real_ranges([group[k] for k in real], thetas) if real else []))
+        swept.update((k, w) for k, w in group.items() if k not in ests)
     if swept:
-        lows, samples = _rotation_sweep([assembled[k] for k in swept], thetas)
-        for k, low, z in zip(swept, lows, samples):
-            ests[k] = _swept_range(thetas, low, z)
-    rows = []
-    for win, w, est in zip(wins, assembled, ests):
-        est = est or _real_range(w, thetas)
-        rows.append(ScanRow(window=win, sector=est.sector,
-                            herm_lambda_min=float(est.lambda_mins[0]),
-                            inf_lower=est.inf_modulus_lower,
-                            inf_upper=est.inf_modulus_upper,
-                            boundary=est.boundary))
-    angle_pairs = [(r.sector.alpha, r.sector.beta) for r in rows if r.sector]
+        order = sorted(swept)
+        lows, samples = _rotation_sweep([swept[k] for k in order], thetas)
+        ests.update((k, _swept_range(thetas, low, z)) for k, low, z in zip(order, lows, samples))
+    rows = [ScanRow(wins[k], est.sector, float(est.lambda_mins[0]), est.inf_modulus_lower,
+                    est.inf_modulus_upper, est.boundary) for k, est in sorted(ests.items())]
     common = None
-    if angle_pairs and len(angle_pairs) == len(rows):
-        mids = []
-        for alpha, beta in angle_pairs:
-            mids.extend([alpha, beta])
-        lo, span = sectors.minimal_arc(np.asarray(mids))
+    if all(r.sector for r in rows):
+        lo, span = sectors.minimal_arc(
+            np.asarray([(r.sector.alpha, r.sector.beta) for r in rows]).ravel())
         if span < math.pi - 1e-12:
             all_samples = np.concatenate([r.boundary for r in rows])
             vertex = sectors.refit_vertex(all_samples, lo, lo + span)
             common = Sector(vertex, lo, lo + span)
     lowers = np.asarray([r.inf_lower for r in rows])
-    tol = 1e-6 * max(1.0, float(np.max(np.abs(lowers))) if lowers.size else 1.0)
-    monotone = bool(np.all(np.diff(lowers) >= -tol)) if lowers.size > 1 else True
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(lowers))))
+    monotone = bool(np.all(np.diff(lowers) >= -tol))
     return ScanResult(rows=tuple(rows), common_sector=common,
                       lower_bounds_monotone=monotone)
 
@@ -752,14 +744,10 @@ def scan_to_csv(result: ScanResult, path) -> None:
                          "infmod_lower", "infmod_upper"])
         for r in result.rows:
             sec = r.sector
-            writer.writerow([
-                repr(r.window.a), repr(r.window.b),
-                repr(sec.alpha) if sec else "",
-                repr(sec.beta) if sec else "",
-                repr(sec.vertex.real) if sec else "",
-                repr(sec.vertex.imag) if sec else "",
-                repr(r.herm_lambda_min), repr(r.inf_lower), repr(r.inf_upper),
-            ])
+            fit = [sec.alpha, sec.beta, sec.vertex.real, sec.vertex.imag] if sec else []
+            writer.writerow([repr(r.window.a), repr(r.window.b)]
+                            + ([repr(v) for v in fit] if sec else [""] * 4)
+                            + [repr(r.herm_lambda_min), repr(r.inf_lower), repr(r.inf_upper)])
 
 
 # -- quadrature evaluation of the form on explicit functions ------------------

@@ -554,6 +554,87 @@ def test_kernel_matches_long_double_sturm_count_on_stiff_complex_windows():
     assert np.all(lows <= rotated + 64 * eps * np.maximum(np.abs(rotated), 1.0))
 
 
+def test_real_windows_certified_at_both_ends_of_the_range():
+    # a real form's range [lambda_lo, lambda_hi] comes from the sweep at 0
+    # and pi: both bounds hold exactly on the pencils handed to the kernel,
+    # and sit within the backoff below the long-double inertia count
+    rng = np.random.default_rng(35)
+    windows = [forms.assemble(sl.miura(sampling.random_gamma(rng), 0.0),
+                              sl.Interval(0.5, 1.5), n) for n in (64, 128)]
+    windows.append(forms.assemble(sl.delta_sum([0.3, 0.55, 0.8], [4.0, -6.0, 2.5], 1.0),
+                                  sl.Interval(0.0, 1.0), 64))
+    windows += _near_node_windows(np.random.default_rng(8), 6)
+    assert all(forms._is_real(w) for w in windows)
+    lows, _samples = _certified_exactly(windows, forms._REAL_THETAS)
+    ref = _sturm_lambda_min(windows, forms._REAL_THETAS)
+    scale = np.maximum(np.abs(ref), 1.0)
+    assert np.all(lows <= ref + 64 * np.finfo(float).eps * scale)
+    assert np.all(ref - lows <= 1e-6 * scale)
+    # a window's range reads its own sweep: lambda_lo at 0, -lambda_hi at pi
+    for w in windows:
+        (lo, hi), = forms._rotation_sweep([w], forms._REAL_THETAS)[0]
+        est = forms.range_boundary(w, angles=16)
+        assert (est.lambda_mins[0], est.lambda_mins[8]) == (lo, hi)
+        assert est.sector == sectors.Sector(lo, 0.0, 0.0)
+        assert est.inf_modulus_lower == max(0.0, lo, hi) <= est.inf_modulus_upper
+
+
+def _scanned_forms(s, n, monkeypatch):
+    """Every window form a scan of s hands the kernel, real and complex."""
+    seen = []
+    sweep = forms._rotation_sweep
+
+    def capture(windows, thetas, **kwargs):
+        seen.extend(windows)
+        return sweep(windows, thetas, **kwargs)
+
+    monkeypatch.setattr(forms, "_rotation_sweep", capture)
+    forms.localization_scan(s, n=n, angles=16)
+    monkeypatch.setattr(forms, "_rotation_sweep", sweep)
+    return seen
+
+
+@pytest.mark.parametrize("n, batch", [(48, quadrature.BATCH_PANELS),
+                                      (33, quadrature.BATCH_PANELS), (48, 100)])
+def test_scan_window_slices_are_bitwise_their_own_assembly(corpus, monkeypatch, n, batch):
+    # one span per lattice for these domains, or several once the batch is
+    # cut to a few windows; an odd mesh puts the half-shifted family on a
+    # lattice of its own
+    monkeypatch.setattr(quadrature, "BATCH_PANELS", batch)
+    for name, s in corpus:
+        if s.domain_end < 2.0:
+            continue
+        wins = forms.scan_windows(s.domain_end)
+        spans = len(list(forms._spans(s, wins, n)))
+        assert spans == (1 if n % 2 == 0 else 2) if batch > 1000 else spans >= 2
+        seen = _scanned_forms(s, n, monkeypatch)
+        assert sorted(w.interval.a for w in seen) == [w.a for w in wins]
+        for w in seen:
+            ref = forms.assemble(s, w.interval, n)
+            assert np.array_equal(w.nodes, ref.nodes), (name, w.interval)
+            for got, want in zip(w.M_bands + w.B_bands, ref.M_bands + ref.B_bands):
+                assert np.array_equal(got, want), (name, w.interval)
+    # a power-of-two mesh keeps the nodes numpy.linspace gave before
+    assert np.array_equal(quadrature.grid(2.5, 3.5, 128), np.linspace(2.5, 3.5, 129))
+
+
+def test_scan_of_a_prefix_keeps_the_shared_rows_bounds():
+    # restricting s to [0, 4] changes the spans and the kernel batches, not
+    # the bounds of the windows both scans share
+    rng = np.random.default_rng(36)
+    real = sl.miura(sampling.random_gamma(rng, domain_end=6.0), 0.0)
+    cplx = sampling.random_antiderivative(rng, domain_end=6.0, pieces=6, jumps=2)
+    for s in (real, cplx):
+        full = forms.localization_scan(s, n=48, angles=16).rows
+        prefix = forms.localization_scan(sl.restrict(s, 4.0), n=48, angles=16).rows
+        assert len(prefix) == 7
+        for a, b in zip(prefix, full):
+            assert a.window == b.window
+            for x, y in ((a.herm_lambda_min, b.herm_lambda_min),
+                         (a.inf_lower, b.inf_lower), (a.inf_upper, b.inf_upper)):
+                assert abs(x - y) <= 1e-12 * max(abs(y), 1.0), (a.window, x, y)
+
+
 def test_non_finite_form_entries_raise():
     w = forms.assemble(sl.from_poly((0.0, 1.0j), 1.0), sl.Interval(0.0, 1.0), 32)
     diag, off = w.B_bands

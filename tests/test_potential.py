@@ -372,9 +372,9 @@ def test_window_edges_keep_breakpoints_clear_of_the_floor(corpus):
 
 def _grid_nodes(a, b, n, breakpoints):
     """quadrature.grid by its rule, one node at a time."""
-    floor = 1e-6 * (b - a) / n
+    floor = 1e-6 * ((b - a) / n)
     inside = sorted({t for t in breakpoints if t - a >= floor and b - t >= floor})
-    cells = [c for c in np.linspace(a, b, n + 1)[1:-1].tolist()
+    cells = [c for c in ((a * n + j * (b - a)) / n for j in range(1, n))
              if all(abs(c - t) >= floor for t in inside)]
     return [a] + sorted(cells + inside) + [b]
 
