@@ -37,8 +37,16 @@ import numpy as np
 
 from . import quadrature, sectors
 from .errors import NumericError, ValidationError
-from .potential import Antiderivative, Interval, RecipTerm
+from .potential import Antiderivative, Interval
 from .sectors import Sector
+
+
+def _horner_table(rows) -> np.ndarray:
+    """Coefficient rows, highest degree first, padded with leading zeros."""
+    table = np.zeros((len(rows), max(1, *map(len, rows))), dtype=complex)
+    for k, row in enumerate(rows):
+        table[k, table.shape[1] - len(row):] = row[::-1]
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,30 +66,27 @@ class PiecewisePoly:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coeffs", cf)
         object.__setattr__(self, "_bp_arr", np.asarray(bp))
+        object.__setattr__(self, "_tables", (
+            _horner_table(cf),
+            _horner_table([tuple(c * (i + 1) for i, c in enumerate(row[1:])) for row in cf])))
 
     @property
     def support(self) -> tuple:
         return self.breakpoints[0], self.breakpoints[-1]
 
     def _eval(self, x, derivative: bool) -> np.ndarray:
+        """One Horner pass over the packed table rows of the points' pieces."""
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         out = np.zeros(flat.size, dtype=complex)
         inside = (flat >= self.breakpoints[0]) & (flat <= self.breakpoints[-1])
-        idx = np.searchsorted(self._bp_arr, flat, side="right") - 1
-        idx = np.clip(idx, 0, len(self.coeffs) - 1)
-        for k in np.unique(idx[inside]):
-            sel = inside & (idx == k)
-            xs = flat[sel]
-            row = self.coeffs[k]
-            if derivative:
-                row = tuple(c * (i + 1) for i, c in enumerate(row[1:]))
-                if not row:
-                    row = (0j,)
-            acc = np.full(xs.size, row[-1], dtype=complex)
-            for c in row[-2::-1]:
-                acc = acc * xs + c
-            out[sel] = acc
+        xs = flat[inside]
+        piece = np.minimum(self._bp_arr.searchsorted(xs, side="right") - 1, len(self.coeffs) - 1)
+        rows = self._tables[derivative][piece]
+        acc = rows[:, 0]
+        for j in range(1, rows.shape[1]):
+            acc = acc * xs + rows[:, j]
+        out[inside] = acc
         return out.reshape(x.shape)
 
     def values(self, x) -> np.ndarray:
@@ -122,10 +127,16 @@ class WindowForm:
         return _dense(*self.B_bands)
 
 
+def _elements(fn, nodes: np.ndarray, rtol: float) -> np.ndarray:
+    """Integrals of fn over the mesh elements, each element its own window."""
+    return quadrature.integrate_many(fn, np.repeat(nodes, 2)[1:-1], rtol=rtol,
+                                     first=np.arange(0, 2 * nodes.size - 2, 2))
+
+
 def _derivative_bands(fn, nodes: np.ndarray, rtol: float) -> tuple:
     """Bands of int fn (phi_i phi_j)' from the element integrals of fn and fn x."""
-    i0 = quadrature.integrate_many(fn, nodes, rtol=rtol)
-    i1 = quadrature.integrate_many(lambda x: fn(x) * x, nodes, rtol=rtol)
+    i0 = _elements(fn, nodes, rtol)
+    i1 = _elements(lambda x: fn(x) * x, nodes, rtol)
     xl, xr, h = nodes[:-1], nodes[1:], np.diff(nodes)
     d_left = (-2.0 / h ** 2) * (xr * i0 - i1)       # int fn (phi_l^2)'
     d_right = (2.0 / h ** 2) * (i1 - xl * i0)       # int fn (phi_r^2)'
@@ -168,9 +179,9 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
     if gauge is not None:
         Q = [band.real for band in _derivative_bands(g.values, nodes, rtol)]
         g2 = lambda x: np.abs(g.values(x)) ** 2
-        j0 = quadrature.integrate_many(g2, nodes, rtol=rtol).real
-        j1 = quadrature.integrate_many(lambda x: g2(x) * x, nodes, rtol=rtol).real
-        j2 = quadrature.integrate_many(lambda x: g2(x) * x * x, nodes, rtol=rtol).real
+        j0 = _elements(g2, nodes, rtol).real
+        j1 = _elements(lambda x: g2(x) * x, nodes, rtol).real
+        j2 = _elements(lambda x: g2(x) * x * x, nodes, rtol).real
         r_ll = (xr ** 2 * j0 - 2.0 * xr * j1 + j2) / h ** 2
         r_rr = (xl ** 2 * j0 - 2.0 * xl * j1 + j2) / h ** 2
         r_lr = (-xl * xr * j0 + (xl + xr) * j1 - j2) / h ** 2
@@ -691,11 +702,11 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
     """Per-window sector and inf-modulus table over both window families.
 
     Each window is a slice of a span assembly (``_spans``), bitwise its own
-    ``assemble``; one over a piece of s with a reciprocal term, which the
-    quadrature refines to a tolerance relative to its range, is assembled
-    alone.  A span's real windows are swept at once, all complex ones at the
-    end.  The summary re-fits one vertex for the hull of the per-window
-    angles over all boundary samples and flags monotone lower bounds.
+    ``assemble``, except a window with an end that a breakpoint within the
+    grid floor displaced in the span: it is assembled alone.  A span's real
+    windows are swept at once, all complex ones at the end.  The summary
+    re-fits one vertex for the hull of the per-window angles over all
+    boundary samples and flags monotone lower bounds.
     """
     if s.domain_end < 2.0:
         raise ValidationError("scan needs domain_end >= 2 for a full window pair")
@@ -703,15 +714,10 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
     if n < 8:
         raise ValidationError("mesh resolution n must be >= 8")
     wins = scan_windows(s.domain_end)
-    bp = np.asarray(s.breakpoints)
-    curved = np.cumsum([0] + [any(isinstance(t, RecipTerm) for t in p) for p in s.pieces])
-    alone = (curved[bp.searchsorted([w.b for w in wins])]
-             > curved[bp.searchsorted([w.a for w in wins], "right") - 1])
     ests, swept = {}, {}
     for interval, run in _spans(s, wins, n):
-        whole = None if alone[run].all() else assemble(s, interval, round(n * interval.length))
-        group = {k: (None if alone[k] else _window_of(whole, wins[k]))
-                 or assemble(s, wins[k], n) for k in run}
+        whole = assemble(s, interval, round(n * interval.length))
+        group = {k: _window_of(whole, wins[k]) or assemble(s, wins[k], n) for k in run}
         real = [k for k in run if _is_real(group[k])]
         ests.update(zip(real, _real_ranges([group[k] for k in real], thetas) if real else []))
         swept.update((k, w) for k, w in group.items() if k not in ests)

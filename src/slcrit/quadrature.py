@@ -6,16 +6,31 @@ with adaptive bisection until the two-half refinement of every panel
 agrees to a relative tolerance (1e-10 by default).  The rule is exact
 for polynomials up to degree 15 per panel, so the piecewise-cubic parts
 of the potential models are integrated exactly on the first pass.
+One call refines many windows together, each to its own tolerance and
+summed in a fixed order, so a window's integral is bitwise the same whatever
+shares its pass; FEM assembly integrates each mesh element as a window.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 
+
+@functools.cache
+def gauss_legendre(order: int) -> tuple:
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1],
+    computed once per order and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 GL_ORDER = 8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(GL_ORDER)
 
 #: default relative tolerance of the adaptive bisection
 DEFAULT_RTOL = 1e-10
@@ -36,9 +51,6 @@ MAX_EVALUATIONS = 1 << 19
 
 #: first-level panels in one batch of windows (``potential.window_moments``)
 BATCH_PANELS = 1 << 14
-
-#: rows of one BLAS rule product: OpenBLAS threads those of 500+ rows (8 ms, not 5 us)
-_BLAS_ROWS = 256
 
 
 def window_edges(starts, ends, breakpoints) -> tuple:
@@ -105,14 +117,12 @@ def split_panels(a: float, b: float, breakpoints=()) -> np.ndarray:
     return window_edges(a, b, sorted(breakpoints))[0]
 
 
-def _gl_panels(fn, bounds, fixed_order: bool = False) -> list:
+def _gl_panels(fn, bounds) -> list:
     """Order-8 Gauss-Legendre estimates on the panels [lo_i, hi_i] of each
     (lo, hi) pair in ``bounds``, with one call of fn for all of them.
 
-    Each pair's rows are reduced on their own, in near-equal BLAS blocks of
-    at most _BLAS_ROWS rows: a row rounds alike in any product of two or
-    more rows.  ``fixed_order`` sums every row in one fixed order instead, so
-    that a panel's estimate does not depend on the panels evaluated with it.
+    Every row is summed in one fixed order (``einsum``, no BLAS), so a
+    panel's estimate does not depend on the panels evaluated with it.
     """
     lo = np.concatenate([pair[0] for pair in bounds])
     hi = np.concatenate([pair[1] for pair in bounds])
@@ -120,21 +130,8 @@ def _gl_panels(fn, bounds, fixed_order: bool = False) -> list:
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = np.asarray(fn(x.ravel())).reshape(x.shape)
-    out = []
-    start = 0
-    for pair in bounds:
-        rows = slice(start, start + len(pair[0]))
-        start = rows.stop
-        block = vals[rows]
-        if fixed_order:
-            sums = np.einsum("ij,j->i", block, _GL_WEIGHTS)
-        elif len(block) <= _BLAS_ROWS:
-            sums = block @ _GL_WEIGHTS
-        else:
-            parts = np.array_split(block, -(-len(block) // _BLAS_ROWS))
-            sums = np.concatenate([part @ _GL_WEIGHTS for part in parts])
-        out.append(sums * half[rows])
-    return out
+    sums = np.einsum("ij,j->i", vals, _GL_WEIGHTS) * half
+    return np.split(sums, np.cumsum([len(pair[0]) for pair in bounds[:-1]]))
 
 
 def _check_finite(est: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -154,38 +151,26 @@ def integrate_many(fn, edges, rtol: float = DEFAULT_RTOL, max_depth: int = 40,
     left out.  All windows share one refinement loop, but each keeps the
     tolerance of a separate call: a panel's tolerance is its share of the
     window width times rtol times the window's absolute integral scale, so the
-    summed error of a window stays below rtol times that scale.
-
-    With ``first`` every panel estimate and every window sum is formed in an
-    order that does not depend on the other windows, so a window's integral
-    is the same however many windows share the pass.  Without it the call
-    keeps the BLAS rule products and pairwise sums of a single contiguous
-    window.
+    summed error of a window stays below rtol times that scale.  Every panel
+    estimate and every window sum is formed in an order that does not depend
+    on the other windows, so a window's integrals are bitwise the same however
+    many windows share the pass.
 
     Raises NumericError at once on a non-finite panel estimate, and before
     the loop would evaluate more than MAX_EVALUATIONS panels, the first level
     included.
     """
     edges = np.asarray(edges, dtype=float)
-    windowed = first is not None
-    if windowed:
-        first = np.asarray(first)
-        joins = np.ones(edges.size - 1, dtype=bool)
-        joins[first[1:] - 1] = False
-        lo, hi = edges[:-1][joins], edges[1:][joins]
-    else:
-        first = np.zeros(1, dtype=int)
-        lo, hi = edges[:-1], edges[1:]
+    first = np.zeros(1, dtype=int) if first is None else np.asarray(first)
+    joins = np.ones(edges.size - 1, dtype=bool)
+    joins[first[1:] - 1] = False
+    lo, hi = edges[:-1][joins], edges[1:][joins]
     count = np.diff(np.append(first, edges.size)) - 1   # panels per window
     window = np.repeat(np.arange(first.size), count)    # window of each panel
     width = edges[first + count] - edges[first]
     width_floor = _WIDTH_FLOOR * np.maximum(width, 1.0)
 
-    def abs_sums(values, owners):
-        """Sum of |values| per window."""
-        if windowed:
-            return np.bincount(owners, np.abs(values), minlength=first.size)
-        return np.abs(values).sum(keepdims=True)
+    abs_sums = lambda values, owners: np.bincount(owners, np.abs(values), minlength=first.size)
 
     def charge(panels):
         nonlocal used
@@ -199,7 +184,7 @@ def integrate_many(fn, edges, rtol: float = DEFAULT_RTOL, max_depth: int = 40,
     charge(3 * len(lo))
     owner = np.arange(len(lo))
     mid = 0.5 * (lo + hi)
-    est, left, right = _gl_panels(fn, [(lo, hi), (lo, mid), (mid, hi)], windowed)
+    est, left, right = _gl_panels(fn, [(lo, hi), (lo, mid), (mid, hi)])
     _check_finite(est, lo, hi)
     out = np.zeros(len(lo), dtype=complex)
     abs_scale = abs_sums(est, window)
@@ -210,7 +195,7 @@ def integrate_many(fn, edges, rtol: float = DEFAULT_RTOL, max_depth: int = 40,
         if depth:
             charge(2 * len(lo))
             mid = 0.5 * (lo + hi)
-            left, right = _gl_panels(fn, [(lo, mid), (mid, hi)], windowed)
+            left, right = _gl_panels(fn, [(lo, mid), (mid, hi)])
         fine = left + right
         _check_finite(fine, lo, hi)
         err = np.abs(fine - est)
@@ -239,7 +224,7 @@ def integrate(fn, a: float, b: float, breakpoints=(), rtol: float = DEFAULT_RTOL
 
 def fixed_nodes(a: float, b: float, breakpoints=(), order: int = GL_ORDER):
     """Nodes and weights of a non-adaptive composite rule on split panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = gauss_legendre(order)
     edges = split_panels(a, b, breakpoints)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
@@ -250,17 +235,17 @@ def fixed_nodes(a: float, b: float, breakpoints=(), order: int = GL_ORDER):
 
 
 def midpoint_cells(a: float, b: float, breakpoints=(), n: int = 64):
-    """Midpoints and widths of ~n cells on [a, b], cells split at breakpoints."""
+    """Midpoints and widths of ~n cells on [a, b], cells split at breakpoints:
+    panel [lo, hi] gets ceil(n (hi - lo) / (b - a)) cells of linspace's nodes."""
     edges = split_panels(a, b, breakpoints)
-    mids = []
-    widths = []
-    span = b - a
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        k = max(1, int(np.ceil(n * (hi - lo) / span)))
-        sub = np.linspace(lo, hi, k + 1)
-        mids.append(0.5 * (sub[:-1] + sub[1:]))
-        widths.append(np.diff(sub))
-    return np.concatenate(mids), np.concatenate(widths)
+    lo, hi = edges[:-1], edges[1:]
+    k = np.maximum(1, np.ceil(n * (hi - lo) / (b - a)).astype(int))
+    panel = np.repeat(np.arange(k.size), k)
+    j = np.arange(panel.size) - np.repeat(k.cumsum() - k, k)
+    step = ((hi - lo) / k)[panel]
+    left = j * step + lo[panel]
+    right = np.where(j + 1 == k[panel], hi[panel], (j + 1) * step + lo[panel])
+    return 0.5 * (left + right), right - left
 
 
 def segment_moments(fn, lo, hi, order: int = GL_ORDER):
@@ -271,8 +256,7 @@ def segment_moments(fn, lo, hi, order: int = GL_ORDER):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    nodes, weights = (_GL_NODES, _GL_WEIGHTS) if order == GL_ORDER \
-        else np.polynomial.legendre.leggauss(order)
+    nodes, weights = gauss_legendre(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[..., None] + half[..., None] * nodes

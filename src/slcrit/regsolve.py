@@ -35,7 +35,7 @@ from . import criteria, potential, quadrature
 from .errors import NumericError, ValidationError
 from .potential import Antiderivative, Interval
 
-_G3_NODES, _G3_WEIGHTS = np.polynomial.legendre.leggauss(3)
+_G3_NODES, _G3_WEIGHTS = quadrature.gauss_legendre(3)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,34 @@ def test_piecewise_poly_eval_and_deriv():
     assert np.allclose(y.values(np.asarray([-1.0, 3.0])), 0.0)
 
 
+def _piece_by_piece(y, x, derivative):
+    """PiecewisePoly values by a Horner loop over the pieces the points hit."""
+    out = np.zeros(x.size, dtype=complex)
+    inside = (x >= y.breakpoints[0]) & (x <= y.breakpoints[-1])
+    idx = np.clip(np.searchsorted(y.breakpoints, x, side="right") - 1, 0, len(y.coeffs) - 1)
+    for k in np.unique(idx[inside]):
+        sel = inside & (idx == k)
+        row = y.coeffs[k]
+        if derivative:
+            row = tuple(c * (i + 1) for i, c in enumerate(row[1:])) or (0j,)
+        acc = np.full(sel.sum(), row[-1], dtype=complex)
+        for c in row[-2::-1]:
+            acc = acc * x[sel] + c
+        out[sel] = acc
+    return out
+
+
+def test_piecewise_poly_packed_horner_is_bitwise_the_piecewise_loop():
+    rng = np.random.default_rng(37)
+    polys = [sampling.random_compact_bump(rng, 6.0) for _ in range(50)]
+    polys += [forms.PiecewisePoly((0.0, 3.0), ((0.0, 0.0, 9.0, -6.0, 1.0),)),
+              forms.PiecewisePoly((0.0, 1.0, 2.0), ((1.0j,), (2.0, -1.0, 0.5j)))]
+    for y in polys:
+        x = np.concatenate([rng.uniform(-1.0, 7.0, 500), y.breakpoints, [np.nan]])
+        assert np.array_equal(y.values(x), _piece_by_piece(y, x, False))
+        assert np.array_equal(y.deriv_values(x), _piece_by_piece(y, x, True))
+
+
 # -- batched tridiagonal kernel against the dense oracle -----------------------
 
 
@@ -580,18 +608,25 @@ def test_real_windows_certified_at_both_ends_of_the_range():
 
 
 def _scanned_forms(s, n, monkeypatch):
-    """Every window form a scan of s hands the kernel, real and complex."""
-    seen = []
-    sweep = forms._rotation_sweep
+    """Every window form a scan of s hands the kernel, real and complex, and
+    the (a, b) of every interval the scan assembles."""
+    seen, assembled = [], []
+    sweep, assemble = forms._rotation_sweep, forms.assemble
 
     def capture(windows, thetas, **kwargs):
         seen.extend(windows)
         return sweep(windows, thetas, **kwargs)
 
+    def spy(s, interval, n, **kwargs):
+        assembled.append((interval.a, interval.b))
+        return assemble(s, interval, n, **kwargs)
+
     monkeypatch.setattr(forms, "_rotation_sweep", capture)
+    monkeypatch.setattr(forms, "assemble", spy)
     forms.localization_scan(s, n=n, angles=16)
     monkeypatch.setattr(forms, "_rotation_sweep", sweep)
-    return seen
+    monkeypatch.setattr(forms, "assemble", assemble)
+    return seen, assembled
 
 
 @pytest.mark.parametrize("n, batch", [(48, quadrature.BATCH_PANELS),
@@ -599,32 +634,44 @@ def _scanned_forms(s, n, monkeypatch):
 def test_scan_window_slices_are_bitwise_their_own_assembly(corpus, monkeypatch, n, batch):
     # one span per lattice for these domains, or several once the batch is
     # cut to a few windows; an odd mesh puts the half-shifted family on a
-    # lattice of its own
+    # lattice of its own.  Each span is assembled once and every window,
+    # reciprocal-term ones included, is sliced from it, except a window with
+    # an end that a breakpoint within the grid floor took the place of
     monkeypatch.setattr(quadrature, "BATCH_PANELS", batch)
-    for name, s in corpus:
+    displaced = sl.Antiderivative(4.0, (0.0, 2.0 + 1e-9, 4.0),
+                                  ((sl.PolyTerm((1.0, 1.0j)),), (sl.PolyTerm((2.0, -0.5)),)))
+    alone_seen = 0
+    for name, s in corpus + [("displaced", displaced)]:
         if s.domain_end < 2.0:
             continue
         wins = forms.scan_windows(s.domain_end)
-        spans = len(list(forms._spans(s, wins, n)))
-        assert spans == (1 if n % 2 == 0 else 2) if batch > 1000 else spans >= 2
-        seen = _scanned_forms(s, n, monkeypatch)
+        spans = list(forms._spans(s, wins, n))
+        assert len(spans) == (1 if n % 2 == 0 else 2) if batch > 1000 else len(spans) >= 2
+        near = quadrature._GRID_FLOOR / n
+        alone = [(wins[k].a, wins[k].b) for iv, run in spans for k in run
+                 if any(0.0 < abs(t - end) < near for t in s.breakpoints
+                        for end in (wins[k].a, wins[k].b) if iv.a < end < iv.b)]
+        alone_seen += len(alone)
+        seen, assembled = _scanned_forms(s, n, monkeypatch)
+        assert sorted(assembled) == sorted([(iv.a, iv.b) for iv, _run in spans] + alone), name
         assert sorted(w.interval.a for w in seen) == [w.a for w in wins]
         for w in seen:
             ref = forms.assemble(s, w.interval, n)
             assert np.array_equal(w.nodes, ref.nodes), (name, w.interval)
             for got, want in zip(w.M_bands + w.B_bands, ref.M_bands + ref.B_bands):
                 assert np.array_equal(got, want), (name, w.interval)
+    assert alone_seen >= 1      # [1, 2] or [2, 3] of the displaced model
     # a power-of-two mesh keeps the nodes numpy.linspace gave before
     assert np.array_equal(quadrature.grid(2.5, 3.5, 128), np.linspace(2.5, 3.5, 129))
 
 
-def test_scan_of_a_prefix_keeps_the_shared_rows_bounds():
+def test_scan_of_a_prefix_keeps_the_shared_rows_bounds(corpus):
     # restricting s to [0, 4] changes the spans and the kernel batches, not
-    # the bounds of the windows both scans share
+    # the bounds of the windows both scans share; s2 has reciprocal terms
     rng = np.random.default_rng(36)
     real = sl.miura(sampling.random_gamma(rng, domain_end=6.0), 0.0)
     cplx = sampling.random_antiderivative(rng, domain_end=6.0, pieces=6, jumps=2)
-    for s in (real, cplx):
+    for s in (real, cplx, dict(corpus)["s2"]):
         full = forms.localization_scan(s, n=48, angles=16).rows
         prefix = forms.localization_scan(sl.restrict(s, 4.0), n=48, angles=16).rows
         assert len(prefix) == 7

@@ -407,6 +407,80 @@ def test_all_windows_pass_equals_separate_calls(corpus, monkeypatch, batch):
             assert (one.m0, one.q2) == (want0, want2), (name, a)
 
 
+def _calls(fn, sizes):
+    """fn, recording the number of points of each call."""
+    def counted(x):
+        sizes.append(x.size)
+        return fn(x)
+    return counted
+
+
+def test_a_window_refining_on_alone_keeps_its_bits_in_a_batch():
+    # the pole-side window [0, 1] refines long after its polynomial batch-mates
+    # are done, down to a panel or two per level: its panels are bitwise the
+    # same integrated alone, at the start of a batch and in its middle
+    fn = lambda x: np.where(x < 1.0, 1.0 / ((x + 1e-3) * (x + 1e-3)), x * x * x - 2.0j * x)
+    alone_sizes, batch_sizes = [], []
+    alone = quadrature.integrate_many(_calls(fn, alone_sizes), [0.0, 0.5, 1.0])
+    assert alone_sizes[-1] <= 2 * 2 * quadrature.GL_ORDER
+    for starts in ([0.0, 1.0, 2.0, 2.5], [1.0, 0.0, 2.0, 3.0, 1.5]):
+        starts = np.asarray(starts)
+        edges, first = quadrature.window_edges(starts, starts + 1.0, [0.5])
+        batch_sizes.clear()
+        panels = quadrature.integrate_many(_calls(fn, batch_sizes), edges, first=first)
+        k = int(np.flatnonzero(starts == 0.0)[0])
+        at = first[k] - k
+        assert np.array_equal(panels[at:at + 2], alone)
+        assert batch_sizes[0] > alone_sizes[0] and batch_sizes[-1] == alone_sizes[-1]
+
+
+def test_rule_sums_do_not_depend_on_the_rows_summed_with_them():
+    # one row, 2 to 2,000 rows and rows split over several pairs all sum alike
+    rng = np.random.default_rng(38)
+    lo = rng.uniform(-3.0, 3.0, 2000)
+    hi = lo + rng.uniform(1e-6, 1.0, lo.size)
+    fn = lambda x: (1.0 + 2.0j * x) / (1.5 + x * x) + x * x * x
+    (rows,) = quadrature._gl_panels(fn, [(lo, hi)])
+    ones = [quadrature._gl_panels(fn, [(lo[i:i + 1], hi[i:i + 1])])[0] for i in range(lo.size)]
+    assert np.array_equal(np.concatenate(ones), rows)
+    for size in (2, 3, 7, 255, 256, 257, 1000, 1999):
+        for at in (0, lo.size - size):
+            (part,) = quadrature._gl_panels(fn, [(lo[at:at + size], hi[at:at + size])])
+            assert np.array_equal(part, rows[at:at + size]), (size, at)
+    pairs = quadrature._gl_panels(fn, [(lo[:1], hi[:1]), (lo[1:300], hi[1:300]), (lo[300:], hi[300:])])
+    assert np.array_equal(np.concatenate(pairs), rows)
+
+
+def _linspace_cells(a, b, breakpoints, n):
+    """quadrature.midpoint_cells by one numpy.linspace per panel."""
+    edges = quadrature.split_panels(a, b, breakpoints)
+    mids, widths = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sub = np.linspace(lo, hi, max(1, int(np.ceil(n * (hi - lo) / (b - a)))) + 1)
+        mids.append(0.5 * (sub[:-1] + sub[1:]))
+        widths.append(np.diff(sub))
+    return np.concatenate(mids), np.concatenate(widths)
+
+
+def test_midpoint_cells_are_bitwise_the_linspace_cells():
+    rng = np.random.default_rng(39)
+    for _ in range(300):
+        a = rng.uniform(-5.0, 5.0)
+        b = a + rng.uniform(0.01, 50.0)
+        bp = rng.uniform(a - 1.0, b + 1.0, rng.integers(0, 12))
+        n = int(rng.integers(1, 300))
+        got, want = quadrature.midpoint_cells(a, b, bp, n), _linspace_cells(a, b, bp, n)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (a, b, n)
+
+
+def test_gauss_legendre_rules_are_cached_and_read_only():
+    nodes, weights = quadrature.gauss_legendre(16)
+    assert quadrature.gauss_legendre(16)[0] is nodes
+    assert np.array_equal(weights, np.polynomial.legendre.leggauss(16)[1])
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+
+
 def test_long_domain_scan_succeeds():
     # 60,000 windows of three panels each: their first level alone is more
     # panel evaluations than one pass may spend, so they must go in batches
