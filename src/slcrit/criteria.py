@@ -115,20 +115,16 @@ def window_deviations(s: Antiderivative, origins, a: float):
 
     c_min = (int s)/a minimises int |s - c|^2; dev is that minimum; dbl is the
     double integral of |s(xi)-s(eta)|^2 over the window square, equal to
-    2*(a * int|s|^2 - |int s|^2).  The two-sided bound
-    a*dev <= dbl <= 4*a*dev holds by construction.  All windows share one
-    adaptive pass per moment (``potential.window_moments``).
+    2*a*dev.  The two-sided bound a*dev <= dbl <= 4*a*dev holds by
+    construction.  All windows share one centred pass
+    (``potential.window_moments``), which takes dev from the moments of s
+    less a reference, so a large mean does not cancel against itself.
     """
     if not a > 0:
         raise DomainError("window length must be positive")
     origins = np.atleast_1d(np.asarray(origins, dtype=float))
-    m0, q2 = potential.window_moments(s, origins, origins + a)
-    c_min = m0 / a
-    dev = np.maximum(q2 - np.abs(m0) ** 2 / a, 0.0)
-    # same identity, clipped consistently with dev so the two-sided bound
-    # a*dev <= dbl <= 4a*dev cannot be broken by roundoff at zero deviation
-    dbl = 2.0 * a * dev
-    return c_min, dev, dbl
+    m0, _q2, dev = potential.window_moments(s, origins, origins + a)
+    return m0 / a, dev, 2.0 * a * dev
 
 
 def window_deviation(s: Antiderivative, x: float, a: float):
@@ -136,8 +132,7 @@ def window_deviation(s: Antiderivative, x: float, a: float):
     if not a > 0:
         raise DomainError("window length must be positive")
     m = potential.moments(s, s.check_interval(Interval(x, x + a)))
-    dev = max(m.q2 - abs(m.m0) ** 2 / a, 0.0)
-    return m.m0 / a, dev, 2.0 * a * dev
+    return m.m0 / a, m.dev, 2.0 * a * m.dev
 
 
 def dbl_bruteforce(s: Antiderivative, x: float, a: float, n: int = 16) -> float:
@@ -367,8 +362,7 @@ def decompose_unif(s: Antiderivative) -> UnifDecomposition:
     if cells < 2:
         raise DomainError("decomposition needs domain_end >= 2")
     nodes = np.arange(cells, dtype=float)           # beta(l-1) = C_l
-    C, q2 = potential.window_moments(s, nodes, nodes + 1.0)
-    sig = np.maximum(q2 - np.abs(C) ** 2, 0.0)
+    C, _q2, sig = potential.window_moments(s, nodes, nodes + 1.0)
     tau = np.diff(C)
     jump_sup = float(np.max(np.abs(tau))) if tau.size else 0.0
     return UnifDecomposition(step_values=C,

@@ -33,7 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, UnsupportedInputError, ValidationError
+from .errors import DomainError, NumericError, UnsupportedInputError, ValidationError
 
 _POLE_MARGIN = 1e-12
 
@@ -295,22 +295,146 @@ class Antiderivative:
 
 @dataclass(frozen=True)
 class Moments:
-    """Window integrals of s: m0 = int s, q2 = int |s|^2."""
+    """Window integrals of s: m0 = int s, q2 = int |s|^2 and the deviation
+    dev = min_c int |s - c|^2 = q2 - |m0|^2 / a, taken without that
+    cancellation."""
 
     m0: complex
     q2: float
+    dev: float
 
 
-def window_moments(s: Antiderivative, starts, ends,
-                   rtol: float = quadrature.DEFAULT_RTOL) -> tuple:
-    """Moments m0 = int s and q2 = int |s|^2 over every window [starts_i, ends_i].
+#: every cell of the centred moments takes 16-point Gauss-Legendre, here on
+#: [0, 1]: nodes as fractions of a cell from its start, weights per unit width
+_CELL_AT = 0.5 * (1.0 + quadrature.gauss_legendre(16)[0])
+_CELL_WEIGHTS = 0.5 * quadrature.gauss_legendre(16)[1]
 
-    The windows go through one adaptive pass per moment, in batches of about
-    ``quadrature.BATCH_PANELS`` panels, so that the evaluation budget of a
-    pass does not grow with the number of windows.  Each window keeps the
-    tolerance of a separate call (its own scale, width and width floor), and
-    its integrals do not depend on the windows it shares a pass with.
-    Returns the arrays (m0, q2).
+
+def _horner_shift(c: np.ndarray, z: np.ndarray) -> tuple:
+    """Taylor coefficients about z of the cubics c[0] + ... + c[3] x^3:
+    synthetic division by (x - z), three Horner passes."""
+    b2 = c[3] * z + c[2]
+    b1 = b2 * z + c[1]
+    b0 = b1 * z + c[0]
+    e2 = c[3] * z + b2
+    e1 = e2 * z + b1
+    return b0, e1, c[3] * z + e2, c[3]
+
+
+def _graded_cells(lo, hi, poles, active) -> tuple:
+    """Cells [start, end] of the segments [lo_i, hi_i] and each cell's segment.
+
+    A segment with a pole of an active reciprocal slot closer than its width
+    is cut at distances d (4^m - 1), m = 1, 2, ..., from its end next to the
+    pole, d that end's distance from the pole, so that every cell is at least
+    a third of its width away from the pole: 16-point Gauss-Legendre then
+    integrates c/(x - p) and its square to rounding.  Other segments are one
+    cell.  Raises NumericError on a pole inside a segment: a piece's pole can
+    reach into a sliver of its neighbour that ``window_edges`` left to it.
+    """
+    width = hi - lo
+    seg, at = [np.arange(lo.size)], [lo]
+    for pole, on in zip(poles, active):
+        left = pole < lo
+        dist = np.where(left, lo - pole, pole - hi)
+        inside = on & ~(dist > 0.0)
+        if inside.any():
+            i = np.flatnonzero(inside)[0]
+            raise NumericError(f"pole {pole[i]!r} inside the segment [{lo[i]!r}, {hi[i]!r}]")
+        near = np.flatnonzero(on & (dist < width))
+        if not near.size:
+            continue
+        # one cut more than the logarithm asks for: the exact test below keeps
+        # the cuts inside, whatever the rounding of the logarithm
+        steps = (np.log2(width[near] / dist[near] + 1.0) // 2).astype(int) + 1
+        k = np.repeat(near, steps)
+        m = np.arange(k.size) - np.repeat(steps.cumsum() - steps, steps) + 1
+        off = dist[k] * (np.ldexp(1.0, 2 * m) - 1.0)     # 4^m is exact
+        keep = off < width[k]
+        k, off = k[keep], off[keep]
+        seg.append(k)
+        at.append(np.where(left[k], lo[k] + off, hi[k] - off))
+    if len(seg) == 1:
+        return lo, hi, seg[0]
+    seg, at = np.concatenate(seg), np.concatenate(at)
+    order = np.lexsort((at, seg))
+    seg, at = seg[order], at[order]
+    last = np.append(seg[1:] != seg[:-1], True)
+    return at, np.where(last, hi[seg], np.append(at[1:], 0.0)), seg
+
+
+def _centred_moments(s: Antiderivative, edges, first, starts, ends) -> tuple:
+    """(m0, q2, dev) of the windows [starts_i, ends_i] of one batch, whose
+    segment runs ``edges``/``first`` are as ``window_edges`` gives them."""
+    coef, amps, poles, nrecip = s._table
+    inner = s._bp_arr[1:-1]
+    centre = 0.5 * (starts + ends)
+    ref_poly = _horner_shift(coef[:, inner.searchsorted(centre, side="right")], centre)[0]
+    ref_jump = s._jump_cum[s._jump_locs.searchsorted(centre, side="right")]
+
+    joins = np.ones(edges.size - 1, dtype=bool)
+    joins[first[1:] - 1] = False
+    lo, hi = edges[:-1][joins], edges[1:][joins]
+    window = first.searchsorted(np.flatnonzero(joins), side="right") - 1
+    mid = 0.5 * (lo + hi)
+    piece = inner.searchsorted(mid, side="right")
+    z = centre[window]
+    b0, b1, b2, b3 = _horner_shift(coef[:, piece], z)
+    # the offset cancels here, once per segment: the same Horner steps give
+    # b0 and ref_poly on the piece at the centre
+    jump = s._jump_cum[s._jump_locs.searchsorted(mid, side="right")]
+    b0 = (b0 - ref_poly[window]) + (jump - ref_jump[window])
+
+    active = [nrecip[piece] > j for j in range(amps.shape[0])]
+    start, end, seg = _graded_cells(lo, hi, poles[:, piece], active)
+    width = end - start
+    offset = width[:, None] * _CELL_AT
+    t = (start - z[seg])[:, None] + offset
+    b1, b2, b3 = b1[seg, None], b2[seg, None], b3[seg, None]
+    values = ((b3 * t + b2) * t + b1) * t + b0[seg, None]
+    for j, on in enumerate(active):
+        rows = np.flatnonzero(on[seg])
+        k = piece[seg[rows]]
+        values[rows] += amps[j, k][:, None] / ((start[rows] - poles[j, k])[:, None]
+                                               + offset[rows])
+    m = np.einsum("ij,j->i", values, _CELL_WEIGHTS) * width
+    q = np.einsum("ij,j->i", values.real ** 2 + values.imag ** 2, _CELL_WEIGHTS) * width
+    if not np.isfinite(q).all():    # q is finite only where every value is
+        i = np.flatnonzero(~np.isfinite(q))[0]
+        raise NumericError(f"centred integrand on [{float(start[i])!r}, "
+                           f"{float(end[i])!r}] is not finite")
+    owner = window[seg]
+    M = (np.bincount(owner, m.real, minlength=first.size)
+         + 1j * np.bincount(owner, m.imag, minlength=first.size))
+    Q = np.bincount(owner, q, minlength=first.size)
+
+    a = ends - starts
+    r = ref_poly + ref_jump
+    with np.errstate(over="ignore"):    # |r|^2 may overflow where |s - r|^2 does not
+        q2 = Q + 2.0 * (r.conj() * M).real + a * np.abs(r) ** 2
+    return a * r + M, q2, np.maximum(Q - np.abs(M) ** 2 / a, 0.0)
+
+
+def window_moments(s: Antiderivative, starts, ends) -> tuple:
+    """Moments m0 = int s, q2 = int |s|^2 and dev = min_c int |s - c|^2 over
+    every window [starts_i, ends_i].
+
+    Each window is centred on a reference r: at its centre x_c, the
+    polynomial part of s plus its cumulative jumps (reciprocal terms left
+    out, so r stays finite next to a pole).  Every segment's cubic is
+    Taylor-shifted to t = x - x_c, its jump added and r taken off its
+    constant term, so that a large mean cancels once per segment, in
+    coefficient space.  One fixed pass integrates M = int (s - r) and
+    Q = int |s - r|^2: every segment between breakpoints is one cell of
+    16-point Gauss-Legendre, exact for the degree-6 square of a cubic, graded
+    into cells toward any pole closer than its width, and the reciprocal
+    terms are evaluated from pole-relative abscissae.  Then m0 = a r + M,
+    q2 = Q + 2 Re(conj(r) M) + a |r|^2 and dev = Q - |M|^2 / a, so the mean
+    never cancels against itself.  The windows go in batches of at most
+    ``quadrature.BATCH_PANELS`` segments, which bounds the memory of a pass;
+    each window is summed in its own segment order, so its values do not
+    depend on its batch-mates.  Raises NumericError on a non-finite centred
+    integrand.  Returns the arrays (m0, q2, dev).
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     ends = np.atleast_1d(np.asarray(ends, dtype=float))
@@ -318,28 +442,26 @@ def window_moments(s: Antiderivative, starts, ends,
         raise DomainError(f"windows outside [0, {s.domain_end}]: "
                           f"[{starts.min()}, {ends.max()}]")
     edges, first = quadrature.window_edges(starts, ends, s.breakpoints)
-    sums = first - np.arange(first.size)    # each window's first panel
+    sums = first - np.arange(first.size)    # each window's first segment
     m0 = np.empty(first.size, dtype=complex)
     q2 = np.empty(first.size)
+    dev = np.empty(first.size)
     lo = 0
     while lo < first.size:
-        # the windows that start within BATCH_PANELS panels of this batch
+        # the windows that start within BATCH_PANELS segments of this batch
         hi = max(lo + 1, int(sums.searchsorted(sums[lo] + quadrature.BATCH_PANELS)))
         cut = edges[first[lo]:first[hi] if hi < first.size else None]
-        runs, at = first[lo:hi] - first[lo], sums[lo:hi] - sums[lo]
-        m0[lo:hi] = np.add.reduceat(quadrature.integrate_many(
-            s.values, cut, rtol=rtol, first=runs), at)
-        q2[lo:hi] = np.add.reduceat(quadrature.integrate_many(
-            lambda x: np.abs(s.values(x)) ** 2, cut, rtol=rtol, first=runs), at).real
+        m0[lo:hi], q2[lo:hi], dev[lo:hi] = _centred_moments(
+            s, cut, first[lo:hi] - first[lo], starts[lo:hi], ends[lo:hi])
         lo = hi
-    return m0, q2
+    return m0, q2, dev
 
 
-def moments(s: Antiderivative, interval: Interval, rtol: float = quadrature.DEFAULT_RTOL) -> Moments:
-    """Adaptive panel-respecting moments of s over the interval."""
+def moments(s: Antiderivative, interval: Interval) -> Moments:
+    """Centred moments of s over the interval; see ``window_moments``."""
     s.check_interval(interval)
-    m0, q2 = window_moments(s, interval.a, interval.b, rtol)
-    return Moments(m0=complex(m0[0]), q2=float(q2[0]))
+    m0, q2, dev = window_moments(s, interval.a, interval.b)
+    return Moments(m0=complex(m0[0]), q2=float(q2[0]), dev=float(dev[0]))
 
 
 # -- constructors ----------------------------------------------------------

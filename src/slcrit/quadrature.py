@@ -1,14 +1,18 @@
 """Panel-respecting adaptive Gauss-Legendre quadrature.
 
-All integrals in the package go through this one code path: composite
-Gauss-Legendre of order 8 on panels that never straddle a breakpoint,
-with adaptive bisection until the two-half refinement of every panel
-agrees to a relative tolerance (1e-10 by default).  The rule is exact
-for polynomials up to degree 15 per panel, so the piecewise-cubic parts
-of the potential models are integrated exactly on the first pass.
+FEM assembly, ``integrate()`` and the tests' moment oracle go through this
+one adaptive path: composite Gauss-Legendre of order 8 on panels that never
+straddle a breakpoint, with adaptive bisection until the two-half refinement
+of every panel agrees to a relative tolerance (1e-10 by default).  The rule
+is exact for polynomials up to degree 15 per panel, so the piecewise-cubic
+parts of the potential models are integrated exactly on the first pass.
 One call refines many windows together, each to its own tolerance and
 summed in a fixed order, so a window's integral is bitwise the same whatever
 shares its pass; FEM assembly integrates each mesh element as a window.
+Window moments of the potential take a fixed rule on centred coefficients
+instead (``potential.window_moments``), on the segments ``window_edges``
+cuts; ``segment_moments`` (the integrator's panels) and ``fixed_nodes`` (the
+brute-force oracle) are fixed rules too.
 """
 
 from __future__ import annotations
@@ -43,13 +47,14 @@ _GRID_FLOOR = 1e-6
 #: panel evaluations one call of the adaptive loop may spend, the first level
 #: included, before it gives up, like QUADPACK's ``limit``.  It bounds time and
 #: memory when a finite integrand never meets the tolerance, e.g. when the
-#: rounding noise of x - p next to a pole exceeds rtol (``vh_profile(1000)``
-#: on [0, 0.75] gives up after 0.2 s and 220 MB).  Callers with many windows
-#: pass them in batches of at most BATCH_PANELS panels; the largest scan of
-#: the benchmark inputs (s2, three blocks, X = 3444) spends 31k in one batch.
+#: rounding noise of x - p, formed in absolute coordinates next to a pole,
+#: exceeds rtol (``vh_profile(1000)``'s |s|^2 on [0, 0.75] gives up after
+#: 0.2 s and 220 MB; its window moments take pole-relative abscissae and do
+#: not come here).
 MAX_EVALUATIONS = 1 << 19
 
-#: first-level panels in one batch of windows (``potential.window_moments``)
+#: segments in one batch of windows of ``potential.window_moments``, and mesh
+#: elements in one span of a scan (``forms``): a bound on the memory of a pass
 BATCH_PANELS = 1 << 14
 
 

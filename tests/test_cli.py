@@ -277,8 +277,9 @@ def test_analyze_nan_constant_exits_2(tmp_path, slcrit_subprocess):
 
 
 def test_analyze_overflowing_square_exits_1(tmp_path, slcrit_subprocess):
-    # s = 1e200 + x is finite, but |s|^2 overflows in the window moments
-    src = _poly_doc(tmp_path / "big.json", 10.0, [1e200, 1.0, 0.0, 0.0])
+    # s = 1e200 x is finite, but the square of its centred part, |s - r|^2 with
+    # r the window-centre value, overflows in the window moments
+    src = _poly_doc(tmp_path / "big.json", 10.0, [0.0, 1e200, 0.0, 0.0])
     run = slcrit_subprocess(["analyze", "--potential", src, "--out", tmp_path / "r.json"],
                             timeout=BUDGET_S)
     assert run.returncode == 1, run.stderr

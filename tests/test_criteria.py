@@ -340,6 +340,22 @@ def test_every_scan_window_matches_bruteforce(corpus):
             assert abs(value - brute) <= 1e-8 * max(abs(brute), 1.0), (name, x)
 
 
+def test_far_s2_windows_match_bruteforce():
+    # s2 --blocks 3 (the schedule `generate --kind s2 --blocks 3` picks): near
+    # X = 3444 the windows' mean is about 5.9e6, which the cancelling identity
+    # q2 - |m0|^2 / a turned into misses of 1.48e-8; the oracle's n=64 and
+    # n=128 agree to 1e-12 there
+    s = sl.build_counterexample("s2", theta=0.5, schedule=[
+        (11, 4.0, 11.656407248729467), (198, 8.0, 198.73717433665527),
+        (3442, 16.0, 3442.349556757122)])
+    origins = np.arange(3400.0, 3443.0, 0.5)
+    c_min, _dev, dbl = criteria.window_deviations(s, origins, 1.0)
+    assert np.abs(c_min).max() > 5e6
+    for x, value in zip(origins, dbl):
+        brute = sl.dbl_bruteforce(s, x, 1.0, n=64)
+        assert abs(value - brute) <= 1e-10 * max(abs(brute), 1.0), x
+
+
 def test_decomposition_and_perturbation_use_all_windows(corpus):
     s = dict(corpus)["random0"]
     dec = criteria.decompose_unif(s)

@@ -1,0 +1,119 @@
+"""Relations the theory guarantees for every input, checked without an oracle.
+
+Adding a constant to s leaves the modelled operator unchanged, and
+conjugating s conjugates it.  So the window deviation, the double integral
+and the verdict must not move under s -> s + c, and the deviation must not
+move under s -> conj(s).  Documents are drawn by ``hypothesis`` under one
+fixed, derandomized profile, so every run checks the same examples; each
+relation states its tolerance and why.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import slcrit as sl
+from slcrit import criteria, potential
+
+PROFILE = settings(max_examples=30, deadline=None, derandomize=True,
+                   suppress_health_check=[HealthCheck.too_slow])
+EPS = np.finfo(float).eps
+OFFSETS = st.sampled_from([1.0, 1e4, 1e6, 1e8]).flatmap(
+    lambda size: st.sampled_from([size, -size, 1j * size, -1j * size]))
+
+
+@st.composite
+def documents(draw, max_pieces=4, recips=True):
+    """Potential documents on [0, X]: complex cubic pieces, reciprocal terms
+    with poles up to a piece width outside, and jumps.  Breakpoints sit on a
+    grid of X/20, so no two are closer than a twentieth of the domain."""
+    X = draw(st.floats(2.0, 8.0))
+    grid = draw(st.lists(st.integers(1, 19), unique=True, max_size=max_pieces - 1))
+    bp = [0.0] + [k * X / 20.0 for k in sorted(grid)] + [X]
+    number = st.floats(-3.0, 3.0)
+    pieces = []
+    for t0, t1 in zip(bp, bp[1:]):
+        row = [{"type": "poly", "re": draw(st.lists(number, min_size=4, max_size=4)),
+                "im": draw(st.lists(number, min_size=4, max_size=4))}]
+        if recips and draw(st.booleans()):
+            gap = draw(st.sampled_from([1e-6, 0.01, 0.5, 2.0])) * (t1 - t0)
+            row.append({"type": "recip", "c_re": draw(number), "c_im": draw(number),
+                        "pole": draw(st.sampled_from([t0 - gap, t1 + gap]))})
+        pieces.append(row)
+    jumps = [{"at": t, "re": draw(number), "im": draw(number)}
+             for t in bp[1:-1] if draw(st.booleans())]
+    return {"domain_end": X, "breakpoints": bp, "pieces": pieces, "jumps": jumps}
+
+
+def _coefficient_scale(s) -> float:
+    """max over pieces of sum_k |c_k| X^k: a bound on |c_0| and on the size of
+    every piece's cubic anywhere in [0, X]."""
+    X = max(s.domain_end, 1.0)
+    return max((sum(abs(c) * X ** k for k, c in enumerate(piece[0].coeffs))
+                for piece in s.pieces if piece and isinstance(piece[0], sl.PolyTerm)),
+               default=0.0)
+
+
+def _deviations(s, a):
+    origins = criteria._origins(s.domain_end, a, a / 2.0)
+    _c, dev, dbl = criteria.window_deviations(s, origins, a)
+    return dev, dbl
+
+
+@PROFILE
+@given(doc=documents(), c=OFFSETS, a=st.floats(0.25, 2.0))
+def test_offset_leaves_deviation_and_dbl_unchanged(doc, c, a):
+    s = potential.from_dict(doc)
+    shifted = potential.offset(s, c)
+    dev, dbl = _deviations(s, a)
+    dev1, dbl1 = _deviations(shifted, a)
+    floor = 1e-12 * np.maximum(dev, 1.0)
+    if len(s.pieces) == 1:
+        # one piece: the centred pass takes r off every constant term in
+        # coefficient space, so c cancels exactly
+        bound = floor
+    else:
+        # several pieces: fl(c_0 + c) differs from c_0 + c by up to eps/2 of
+        # it, and each piece's value at the window centre, with and without
+        # c, rounds by as much; with the reference's share that is at most
+        # delta = 4 eps (|c| + C) per piece, C the coefficient scale.  The
+        # deviation's root is an L2 distance, so it moves by at most
+        # sqrt(a) delta, and dev by 2 sqrt(a dev) delta + a delta^2.
+        delta = 4.0 * EPS * (abs(c) + _coefficient_scale(s))
+        bound = 2.0 * np.sqrt(a * dev) * delta + a * delta ** 2 + floor
+    assert np.all(np.abs(dev1 - dev) <= bound), np.max(np.abs(dev1 - dev) - bound)
+    assert np.all(np.abs(dbl1 - dbl) <= 2.0 * a * bound)
+
+
+@PROFILE
+@given(doc=documents(), a=st.floats(0.25, 2.0))
+def test_conjugation_leaves_deviation_unchanged(doc, a):
+    conj = {**doc,
+            "pieces": [[{**term, "im": [-v for v in term["im"]]} if term["type"] == "poly"
+                        else {**term, "c_im": -term["c_im"]} for term in row]
+                       for row in doc["pieces"]],
+            "jumps": [{**jump, "im": -jump["im"]} for jump in doc["jumps"]]}
+    dev, dbl = _deviations(potential.from_dict(doc), a)
+    dev1, dbl1 = _deviations(potential.from_dict(conj), a)
+    # every step of the pass commutes with conjugation; allow rounding only
+    assert np.all(np.abs(dev1 - dev) <= 1e-12 * np.maximum(dev, 1.0))
+    assert np.all(np.abs(dbl1 - dbl) <= 1e-12 * np.maximum(dbl, 1.0))
+
+
+@settings(PROFILE, max_examples=6)
+@given(doc=documents(max_pieces=3, recips=False), c=OFFSETS)
+def test_offset_leaves_the_verdict_unchanged(doc, c):
+    s = potential.from_dict(doc)
+    assert sl.classify(potential.offset(s, c)).outcome == sl.classify(s).outcome
+
+
+@pytest.mark.parametrize("c", [0.0, 1e4, 1e6, 1e8, 1e8j, 1e200])
+def test_offset_keeps_the_exact_deviation_of_a_line(c):
+    # s = c + x on [1, 2]: min_c int |s - c|^2 = 1/12 whatever c; the cancelling
+    # identity q2 - |m0|^2 / a gave 0.0833740 at c = 1e6 and 2.0 at c = 1e8
+    s = sl.from_poly((c, 1.0), 4.0)
+    _c, dev, dbl = sl.window_deviation(s, 1.0, 1.0)
+    assert dev == pytest.approx(1.0 / 12.0, rel=1e-12)
+    assert dbl == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert criteria.decompose_unif(s).sigma1_sup_sq == pytest.approx(1.0 / 12.0, rel=1e-12)
