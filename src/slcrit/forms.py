@@ -127,26 +127,28 @@ class WindowForm:
         return _dense(*self.B_bands)
 
 
-def _elements(fn, nodes: np.ndarray, rtol: float) -> np.ndarray:
-    """Integrals of fn over the mesh elements, each element its own window."""
-    return quadrature.integrate_many(fn, np.repeat(nodes, 2)[1:-1], rtol=rtol,
-                                     first=np.arange(0, 2 * nodes.size - 2, 2))
+def _elements(fn, nodes: np.ndarray, model: Antiderivative) -> np.ndarray:
+    """Integrals of fn, built from the model, over the mesh elements: each
+    element a window of its own, cut at the model's breakpoints and graded
+    toward its poles."""
+    edges, first = quadrature.window_edges(nodes[:-1], nodes[1:], model.breakpoints)
+    return quadrature.integrate_many(fn, edges, model.pole_slots, first=first)
 
 
-def _derivative_bands(fn, nodes: np.ndarray, rtol: float) -> tuple:
-    """Bands of int fn (phi_i phi_j)' from the element integrals of fn and fn x."""
-    i0 = _elements(fn, nodes, rtol)
-    i1 = _elements(lambda x: fn(x) * x, nodes, rtol)
+def _derivative_bands(model: Antiderivative, nodes: np.ndarray) -> tuple:
+    """Bands of int m (phi_i phi_j)' from the element integrals of m and m x,
+    m the model's values."""
+    i0 = _elements(model.values, nodes, model)
+    i1 = _elements(lambda x: model.values(x) * x, nodes, model)
     xl, xr, h = nodes[:-1], nodes[1:], np.diff(nodes)
-    d_left = (-2.0 / h ** 2) * (xr * i0 - i1)       # int fn (phi_l^2)'
-    d_right = (2.0 / h ** 2) * (i1 - xl * i0)       # int fn (phi_r^2)'
+    d_left = (-2.0 / h ** 2) * (xr * i0 - i1)       # int m (phi_l^2)'
+    d_right = (2.0 / h ** 2) * (i1 - xl * i0)       # int m (phi_r^2)'
     o_mid = (1.0 / h ** 2) * ((xl + xr) * i0 - 2.0 * i1)
     return d_right[:-1] + d_left[1:], o_mid[1:-1]
 
 
 def assemble(s: Antiderivative, interval: Interval, n: int,
-             gauge: tuple = None, extra_breakpoints=(),
-             rtol: float = quadrature.DEFAULT_RTOL) -> WindowForm:
+             gauge: tuple = None, extra_breakpoints=()) -> WindowForm:
     """Assemble stiffness/potential/mass (and gauge) matrices on [a, b].
 
     gauge, when given, is a triple (g, kappa1, kappa2) with real-valued g:
@@ -173,15 +175,15 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
     A = (inv_h[:-1] + inv_h[1:], -inv_h[1:-1])
     M = ((h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0)
 
-    P = _derivative_bands(s.values, nodes, rtol)
+    P = _derivative_bands(s, nodes)
     b_diag, b_off = A[0] - P[0], A[1] - P[1]
     gauge_meta = None
     if gauge is not None:
-        Q = [band.real for band in _derivative_bands(g.values, nodes, rtol)]
+        Q = [band.real for band in _derivative_bands(g, nodes)]
         g2 = lambda x: np.abs(g.values(x)) ** 2
-        j0 = _elements(g2, nodes, rtol).real
-        j1 = _elements(lambda x: g2(x) * x, nodes, rtol).real
-        j2 = _elements(lambda x: g2(x) * x * x, nodes, rtol).real
+        j0 = _elements(g2, nodes, g).real
+        j1 = _elements(lambda x: g2(x) * x, nodes, g).real
+        j2 = _elements(lambda x: g2(x) * x * x, nodes, g).real
         r_ll = (xr ** 2 * j0 - 2.0 * xr * j1 + j2) / h ** 2
         r_rr = (xl ** 2 * j0 - 2.0 * xl * j1 + j2) / h ** 2
         r_lr = (-xl * xr * j0 + (xl + xr) * j1 - j2) / h ** 2
@@ -760,14 +762,14 @@ def scan_to_csv(result: ScanResult, path) -> None:
 
 
 def dirichlet_form_quadrature(s: Antiderivative, fn, dfn, lo: float, hi: float,
-                              extra_breaks=(), rtol: float = 1e-11) -> complex:
-    """l[y] = int |y'|^2 - int s (y conj(y))' dx for an explicit y on [lo, hi]."""
+                              extra_breaks=()) -> complex:
+    """l[y] = int |y'|^2 - int s (y conj(y))' dx for an explicit y on [lo, hi],
+    the potential part graded toward the poles of s."""
     breaks = list(s.breakpoints) + list(extra_breaks)
-    kinetic = quadrature.integrate(lambda x: np.abs(dfn(x)) ** 2,
-                                   lo, hi, breaks, rtol=rtol)
+    kinetic = quadrature.integrate(lambda x: np.abs(dfn(x)) ** 2, lo, hi, breaks)
     pot = quadrature.integrate(
         lambda x: s.values(x) * 2.0 * np.real(dfn(x) * np.conj(fn(x))),
-        lo, hi, breaks, rtol=rtol)
+        lo, hi, breaks, s.pole_slots)
     return complex(kinetic - pot)
 
 

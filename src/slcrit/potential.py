@@ -218,8 +218,8 @@ class Antiderivative:
     def _table(self) -> tuple:
         """The packed pieces, built on first evaluation: ``coef[k]`` holds
         c_k of every piece, reciprocal slot j holds the amplitude and pole of
-        the j-th reciprocal term of every piece that has one, and ``nrecip``
-        counts the slots each piece uses."""
+        the j-th reciprocal term of every piece that has one (pole NaN in the
+        others), and ``nrecip`` counts the slots each piece uses."""
         cubics = [piece[0].coeffs if piece and isinstance(piece[0], PolyTerm) else ()
                   for piece in self.pieces]
         recips = [piece[1:] if cubic else piece for piece, cubic in zip(self.pieces, cubics)]
@@ -228,7 +228,7 @@ class Antiderivative:
         coef = np.asarray([c + (0j,) * (4 - len(c)) for c in cubics], dtype=complex)
         amp = np.asarray([[t.c for t in r] + [0j] * (slots - len(r)) for r in recips],
                          dtype=complex).reshape(n, slots)
-        pole = np.asarray([[t.pole for t in r] + [0.0] * (slots - len(r)) for r in recips],
+        pole = np.asarray([[t.pole for t in r] + [np.nan] * (slots - len(r)) for r in recips],
                           dtype=float).reshape(n, slots)
         return (coef.T.copy(), amp.T.copy(), pole.T.copy(),
                 np.asarray([len(r) for r in recips]))
@@ -268,6 +268,12 @@ class Antiderivative:
             out += self._jump_cum[nj]
         return out.reshape(x.shape)
 
+    def pole_slots(self, x) -> np.ndarray:
+        """Poles of the reciprocal slots of the pieces holding the points x,
+        one row per slot, NaN where a piece leaves the slot empty: the poles
+        ``quadrature.graded_cells`` grades toward."""
+        return self._table[2][:, self._bp_arr[1:-1].searchsorted(x, side="right")]
+
     def __call__(self, x):
         arr = self.values(x)
         return complex(arr) if arr.shape == () else arr
@@ -304,12 +310,6 @@ class Moments:
     dev: float
 
 
-#: every cell of the centred moments takes 16-point Gauss-Legendre, here on
-#: [0, 1]: nodes as fractions of a cell from its start, weights per unit width
-_CELL_AT = 0.5 * (1.0 + quadrature.gauss_legendre(16)[0])
-_CELL_WEIGHTS = 0.5 * quadrature.gauss_legendre(16)[1]
-
-
 def _horner_shift(c: np.ndarray, z: np.ndarray) -> tuple:
     """Taylor coefficients about z of the cubics c[0] + ... + c[3] x^3:
     synthetic division by (x - z), three Horner passes."""
@@ -321,48 +321,6 @@ def _horner_shift(c: np.ndarray, z: np.ndarray) -> tuple:
     return b0, e1, c[3] * z + e2, c[3]
 
 
-def _graded_cells(lo, hi, poles, active) -> tuple:
-    """Cells [start, end] of the segments [lo_i, hi_i] and each cell's segment.
-
-    A segment with a pole of an active reciprocal slot closer than its width
-    is cut at distances d (4^m - 1), m = 1, 2, ..., from its end next to the
-    pole, d that end's distance from the pole, so that every cell is at least
-    a third of its width away from the pole: 16-point Gauss-Legendre then
-    integrates c/(x - p) and its square to rounding.  Other segments are one
-    cell.  Raises NumericError on a pole inside a segment: a piece's pole can
-    reach into a sliver of its neighbour that ``window_edges`` left to it.
-    """
-    width = hi - lo
-    seg, at = [np.arange(lo.size)], [lo]
-    for pole, on in zip(poles, active):
-        left = pole < lo
-        dist = np.where(left, lo - pole, pole - hi)
-        inside = on & ~(dist > 0.0)
-        if inside.any():
-            i = np.flatnonzero(inside)[0]
-            raise NumericError(f"pole {pole[i]!r} inside the segment [{lo[i]!r}, {hi[i]!r}]")
-        near = np.flatnonzero(on & (dist < width))
-        if not near.size:
-            continue
-        # one cut more than the logarithm asks for: the exact test below keeps
-        # the cuts inside, whatever the rounding of the logarithm
-        steps = (np.log2(width[near] / dist[near] + 1.0) // 2).astype(int) + 1
-        k = np.repeat(near, steps)
-        m = np.arange(k.size) - np.repeat(steps.cumsum() - steps, steps) + 1
-        off = dist[k] * (np.ldexp(1.0, 2 * m) - 1.0)     # 4^m is exact
-        keep = off < width[k]
-        k, off = k[keep], off[keep]
-        seg.append(k)
-        at.append(np.where(left[k], lo[k] + off, hi[k] - off))
-    if len(seg) == 1:
-        return lo, hi, seg[0]
-    seg, at = np.concatenate(seg), np.concatenate(at)
-    order = np.lexsort((at, seg))
-    seg, at = seg[order], at[order]
-    last = np.append(seg[1:] != seg[:-1], True)
-    return at, np.where(last, hi[seg], np.append(at[1:], 0.0)), seg
-
-
 def _centred_moments(s: Antiderivative, edges, first, starts, ends) -> tuple:
     """(m0, q2, dev) of the windows [starts_i, ends_i] of one batch, whose
     segment runs ``edges``/``first`` are as ``window_edges`` gives them."""
@@ -372,10 +330,7 @@ def _centred_moments(s: Antiderivative, edges, first, starts, ends) -> tuple:
     ref_poly = _horner_shift(coef[:, inner.searchsorted(centre, side="right")], centre)[0]
     ref_jump = s._jump_cum[s._jump_locs.searchsorted(centre, side="right")]
 
-    joins = np.ones(edges.size - 1, dtype=bool)
-    joins[first[1:] - 1] = False
-    lo, hi = edges[:-1][joins], edges[1:][joins]
-    window = first.searchsorted(np.flatnonzero(joins), side="right") - 1
+    lo, hi, window = quadrature.panels(edges, first)
     mid = 0.5 * (lo + hi)
     piece = inner.searchsorted(mid, side="right")
     z = centre[window]
@@ -386,9 +341,9 @@ def _centred_moments(s: Antiderivative, edges, first, starts, ends) -> tuple:
     b0 = (b0 - ref_poly[window]) + (jump - ref_jump[window])
 
     active = [nrecip[piece] > j for j in range(amps.shape[0])]
-    start, end, seg = _graded_cells(lo, hi, poles[:, piece], active)
+    start, end, seg = quadrature.graded_cells(lo, hi, poles[:, piece])
     width = end - start
-    offset = width[:, None] * _CELL_AT
+    offset = width[:, None] * quadrature.CELL_AT
     t = (start - z[seg])[:, None] + offset
     b1, b2, b3 = b1[seg, None], b2[seg, None], b3[seg, None]
     values = ((b3 * t + b2) * t + b1) * t + b0[seg, None]
@@ -397,8 +352,8 @@ def _centred_moments(s: Antiderivative, edges, first, starts, ends) -> tuple:
         k = piece[seg[rows]]
         values[rows] += amps[j, k][:, None] / ((start[rows] - poles[j, k])[:, None]
                                                + offset[rows])
-    m = np.einsum("ij,j->i", values, _CELL_WEIGHTS) * width
-    q = np.einsum("ij,j->i", values.real ** 2 + values.imag ** 2, _CELL_WEIGHTS) * width
+    m = np.einsum("ij,j->i", values, quadrature.CELL_WEIGHTS) * width
+    q = np.einsum("ij,j->i", values.real ** 2 + values.imag ** 2, quadrature.CELL_WEIGHTS) * width
     if not np.isfinite(q).all():    # q is finite only where every value is
         i = np.flatnonzero(~np.isfinite(q))[0]
         raise NumericError(f"centred integrand on [{float(start[i])!r}, "

@@ -1,18 +1,21 @@
-"""Panel-respecting adaptive Gauss-Legendre quadrature.
+"""Fixed Gauss-Legendre quadrature on graded cells.
 
-FEM assembly, ``integrate()`` and the tests' moment oracle go through this
-one adaptive path: composite Gauss-Legendre of order 8 on panels that never
-straddle a breakpoint, with adaptive bisection until the two-half refinement
-of every panel agrees to a relative tolerance (1e-10 by default).  The rule
-is exact for polynomials up to degree 15 per panel, so the piecewise-cubic
-parts of the potential models are integrated exactly on the first pass.
-One call refines many windows together, each to its own tolerance and
-summed in a fixed order, so a window's integral is bitwise the same whatever
-shares its pass; FEM assembly integrates each mesh element as a window.
-Window moments of the potential take a fixed rule on centred coefficients
-instead (``potential.window_moments``), on the segments ``window_edges``
-cuts; ``segment_moments`` (the integrator's panels) and ``fixed_nodes`` (the
-brute-force oracle) are fixed rules too.
+Every integral of the package goes through one rule: the panels between
+breakpoints (``window_edges``) are cut into cells graded geometrically
+toward the poles of the model the integrand is built from (``graded_cells``),
+and every cell takes 16-point Gauss-Legendre.  The rule is exact for
+polynomials up to degree 31 per cell, so the element integrands of a cubic
+piece (degree <= 4, <= 8 for the gauge) and the window moments (degree 6)
+are integrated to rounding.  For an integrand analytic inside the Bernstein
+ellipse of parameter rho about a cell and bounded there by M, the n-point
+rule errs by at most 64 M rho^(-2n) / (15 (rho^2 - 1)) times the half-width
+(Trefethen, SIAM Review 50, 2008, Thm 4.5).  A graded cell lies at least a
+third of its width from every pole, so rho >= 3 and 16 points err by about
+3^-32 ~ 5e-16 of M.  A window's integral is the sum of its cells in a fixed
+order, so it is bitwise the same whatever windows share the call.  Window
+moments of the potential take the same cells on centred coefficients
+(``potential.window_moments``); ``segment_moments`` (the integrator's panels)
+and ``fixed_nodes`` (the brute-force oracle) are order-8 rules of their own.
 """
 
 from __future__ import annotations
@@ -34,24 +37,14 @@ def gauss_legendre(order: int) -> tuple:
 
 
 GL_ORDER = 8
-_GL_NODES, _GL_WEIGHTS = gauss_legendre(GL_ORDER)
 
-#: default relative tolerance of the adaptive bisection
-DEFAULT_RTOL = 1e-10
-
-_WIDTH_FLOOR = 1e-14
+#: every cell takes 16-point Gauss-Legendre, here on [0, 1]: nodes as
+#: fractions of a cell from its start, weights per unit width
+CELL_AT = 0.5 * (1.0 + gauss_legendre(16)[0])
+CELL_WEIGHTS = 0.5 * gauss_legendre(16)[1]
 
 #: a cell node of ``grid`` this close to a breakpoint, in cells, gives way to it
 _GRID_FLOOR = 1e-6
-
-#: panel evaluations one call of the adaptive loop may spend, the first level
-#: included, before it gives up, like QUADPACK's ``limit``.  It bounds time and
-#: memory when a finite integrand never meets the tolerance, e.g. when the
-#: rounding noise of x - p, formed in absolute coordinates next to a pole,
-#: exceeds rtol (``vh_profile(1000)``'s |s|^2 on [0, 0.75] gives up after
-#: 0.2 s and 220 MB; its window moments take pole-relative abscissae and do
-#: not come here).
-MAX_EVALUATIONS = 1 << 19
 
 #: segments in one batch of windows of ``potential.window_moments``, and mesh
 #: elements in one span of a scan (``forms``): a bound on the memory of a pass
@@ -62,11 +55,8 @@ def window_edges(starts, ends, breakpoints) -> tuple:
     """Panel edges of the windows [starts_i, ends_i], all in one array.
 
     ``breakpoints`` must be increasing.  Window i contributes the run
-    ``starts_i, interior breakpoints, ends_i``; returns the concatenated runs
-    and the index where each run begins.  Panels thinner than ~1e-14 of the
-    window scale are avoided so degenerate edges cannot stall the adaptive
-    loop: a breakpoint that close to the window start, to the breakpoint
-    before it or to the window end is left out.
+    ``starts_i, breakpoints strictly inside, ends_i``; returns the
+    concatenated runs and the index where each run begins.
     """
     a = np.asarray(starts, dtype=float).ravel()
     b = np.asarray(ends, dtype=float).ravel()
@@ -77,21 +67,15 @@ def window_edges(starts, ends, breakpoints) -> tuple:
     # the breakpoints strictly inside each window, window by window
     i0 = bp.searchsorted(a, side="right")
     count = bp.searchsorted(b, side="left") - i0
-    win = np.repeat(np.arange(a.size), count)
-    k = np.arange(win.size) + np.repeat(i0 - (count.cumsum() - count), count)
-    t = bp[k]
-    prev = np.where(k > i0[win], bp[k - 1], a[win])
-    floor = _WIDTH_FLOOR * np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(b - a, 1.0))
-    keep = (t - prev >= floor[win]) & (b[win] - t >= floor[win])
-    # each window's run: its start, its kept breakpoints in order, its end
-    inner = np.bincount(win[keep], minlength=a.size)
-    first = 2 * np.arange(a.size) + (inner.cumsum() - inner)
-    edges = np.empty(2 * a.size + t[keep].size)
+    before = count.cumsum() - count
+    k = np.arange(count.sum()) + np.repeat(i0 - before, count)
+    first = 2 * np.arange(a.size) + before
+    edges = np.empty(2 * a.size + k.size)
     edges[first] = a
-    edges[first + inner + 1] = b
+    edges[first + count + 1] = b
     runs = np.ones(edges.size, dtype=bool)
-    runs[first] = runs[first + inner + 1] = False
-    edges[runs] = t[keep]
+    runs[first] = runs[first + count + 1] = False
+    edges[runs] = bp[k]
     return edges, first
 
 
@@ -117,26 +101,58 @@ def grid(a: float, b: float, n: int, breakpoints=()) -> np.ndarray:
 
 
 def split_panels(a: float, b: float, breakpoints=()) -> np.ndarray:
-    """Panel edges on [a, b]: a, b plus the interior breakpoints that
-    ``window_edges`` keeps for the one window [a, b]."""
-    return window_edges(a, b, sorted(breakpoints))[0]
+    """Panel edges on [a, b]: a, the distinct breakpoints strictly inside, b."""
+    return window_edges(a, b, np.unique(np.asarray(breakpoints, dtype=float)))[0]
 
 
-def _gl_panels(fn, bounds) -> list:
-    """Order-8 Gauss-Legendre estimates on the panels [lo_i, hi_i] of each
-    (lo, hi) pair in ``bounds``, with one call of fn for all of them.
+def panels(edges, first) -> tuple:
+    """The panels [lo_i, hi_i] of the edge runs starting at ``first`` (the
+    pairs that join two runs left out) and the run of each panel."""
+    joins = np.ones(edges.size - 1, dtype=bool)
+    joins[first[1:] - 1] = False
+    window = first.searchsorted(np.flatnonzero(joins), side="right") - 1
+    return edges[:-1][joins], edges[1:][joins], window
 
-    Every row is summed in one fixed order (``einsum``, no BLAS), so a
-    panel's estimate does not depend on the panels evaluated with it.
+
+def graded_cells(lo, hi, poles) -> tuple:
+    """Cells [start, end] of the panels [lo_i, hi_i] and each cell's panel.
+
+    ``poles[j, i]`` is the pole of panel i's reciprocal slot j, NaN where the
+    slot is empty.  A panel with a pole closer than its width is cut at
+    distances d (4^m - 1), m = 1, 2, ..., from its end next to the pole, d
+    that end's distance from the pole, so that every cell is at least a third
+    of its width away from the pole: 16-point Gauss-Legendre then integrates
+    c/(x - p) and its square to rounding.  Other panels are one cell.  Raises
+    NumericError on a pole inside a panel.
     """
-    lo = np.concatenate([pair[0] for pair in bounds])
-    hi = np.concatenate([pair[1] for pair in bounds])
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.asarray(fn(x.ravel())).reshape(x.shape)
-    sums = np.einsum("ij,j->i", vals, _GL_WEIGHTS) * half
-    return np.split(sums, np.cumsum([len(pair[0]) for pair in bounds[:-1]]))
+    width = hi - lo
+    seg, at = [np.arange(lo.size)], [lo]
+    for pole in poles:
+        left = pole < lo
+        dist = np.where(left, lo - pole, pole - hi)
+        if (dist <= 0.0).any():
+            i = np.flatnonzero(dist <= 0.0)[0]
+            raise NumericError(f"pole {pole[i]!r} inside the panel [{lo[i]!r}, {hi[i]!r}]")
+        near = np.flatnonzero(dist < width)
+        if not near.size:
+            continue
+        # one cut more than the logarithm asks for: the exact test below keeps
+        # the cuts inside, whatever the rounding of the logarithm
+        steps = (np.log2(width[near] / dist[near] + 1.0) // 2).astype(int) + 1
+        k = np.repeat(near, steps)
+        m = np.arange(k.size) - np.repeat(steps.cumsum() - steps, steps) + 1
+        off = dist[k] * (np.ldexp(1.0, 2 * m) - 1.0)     # 4^m is exact
+        keep = off < width[k]
+        k, off = k[keep], off[keep]
+        seg.append(k)
+        at.append(np.where(left[k], lo[k] + off, hi[k] - off))
+    if len(seg) == 1:
+        return lo, hi, seg[0]
+    seg, at = np.concatenate(seg), np.concatenate(at)
+    order = np.lexsort((at, seg))
+    seg, at = seg[order], at[order]
+    last = np.append(seg[1:] != seg[:-1], True)
+    return at, np.where(last, hi[seg], np.append(at[1:], 0.0)), seg
 
 
 def _check_finite(est: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -146,89 +162,45 @@ def _check_finite(est: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
                            f"[{float(lo[i])!r}, {float(hi[i])!r}] is not finite")
 
 
-def integrate_many(fn, edges, rtol: float = DEFAULT_RTOL, max_depth: int = 40,
-                   first=None) -> np.ndarray:
-    """Adaptive integrals of a vectorized fn over each consecutive edge pair.
+def integrate_many(fn, edges, poles=None, first=None) -> np.ndarray:
+    """Integrals of a vectorized fn over windows of panels, one per window.
 
-    ``edges`` holds one run of edges per window, the runs starting at the
-    indices ``first`` (as ``window_edges`` returns them); without ``first`` it
-    is one window.  Returns one value per panel, the pairs that join two runs
-    left out.  All windows share one refinement loop, but each keeps the
-    tolerance of a separate call: a panel's tolerance is its share of the
-    window width times rtol times the window's absolute integral scale, so the
-    summed error of a window stays below rtol times that scale.  Every panel
-    estimate and every window sum is formed in an order that does not depend
-    on the other windows, so a window's integrals are bitwise the same however
-    many windows share the pass.
-
-    Raises NumericError at once on a non-finite panel estimate, and before
-    the loop would evaluate more than MAX_EVALUATIONS panels, the first level
-    included.
+    ``edges`` holds one run of panel edges per window, the runs starting at
+    the indices ``first`` (as ``window_edges`` returns them); without
+    ``first`` it is one window.  ``poles`` describes the model fn is built
+    from: a function of the panels' midpoints that returns their pole slots
+    (as ``Antiderivative.pole_slots``), toward which ``graded_cells`` grades
+    each panel; without it every panel is one cell.  fn is called once, on
+    the 16 Gauss-Legendre nodes of every cell.  A window's integral is the
+    sum of its cells in order, so it is bitwise the same however many
+    windows share the call.  Raises NumericError on a non-finite cell.
     """
-    edges = np.asarray(edges, dtype=float)
     first = np.zeros(1, dtype=int) if first is None else np.asarray(first)
-    joins = np.ones(edges.size - 1, dtype=bool)
-    joins[first[1:] - 1] = False
-    lo, hi = edges[:-1][joins], edges[1:][joins]
-    count = np.diff(np.append(first, edges.size)) - 1   # panels per window
-    window = np.repeat(np.arange(first.size), count)    # window of each panel
-    width = edges[first + count] - edges[first]
-    width_floor = _WIDTH_FLOOR * np.maximum(width, 1.0)
-
-    abs_sums = lambda values, owners: np.bincount(owners, np.abs(values), minlength=first.size)
-
-    def charge(panels):
-        nonlocal used
-        used += panels
-        if used > MAX_EVALUATIONS:
-            raise NumericError(
-                f"adaptive quadrature did not reach rtol={rtol} within "
-                f"{MAX_EVALUATIONS} panel evaluations")
-
-    used = 0
-    charge(3 * len(lo))
-    owner = np.arange(len(lo))
-    mid = 0.5 * (lo + hi)
-    est, left, right = _gl_panels(fn, [(lo, hi), (lo, mid), (mid, hi)])
-    _check_finite(est, lo, hi)
-    out = np.zeros(len(lo), dtype=complex)
-    abs_scale = abs_sums(est, window)
-
-    for depth in range(max_depth):
-        if len(lo) == 0:
-            break
-        if depth:
-            charge(2 * len(lo))
-            mid = 0.5 * (lo + hi)
-            left, right = _gl_panels(fn, [(lo, mid), (mid, hi)])
-        fine = left + right
-        _check_finite(fine, lo, hi)
-        err = np.abs(fine - est)
-        live = window[owner]
-        abs_scale = np.maximum(abs_scale, abs_sums(out, window) + abs_sums(fine, live))
-        tol = rtol * abs_scale[live] * (hi - lo) / width[live]
-        done = (err <= tol) | ((hi - lo) <= width_floor[live])
-        np.add.at(out, owner[done], fine[done])
-        keep = ~done
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        owner = np.concatenate([owner[keep], owner[keep]])
-        est = np.concatenate([left[keep], right[keep]])
-    # depth exhausted: accept the current refinement
-    np.add.at(out, owner, est)
-    return out
+    lo, hi, window = panels(np.asarray(edges, dtype=float), first)
+    if poles is None:
+        start, end, seg = lo, hi, np.arange(lo.size)
+    else:
+        start, end, seg = graded_cells(lo, hi, poles(0.5 * (lo + hi)))
+    width = end - start
+    x = start[:, None] + width[:, None] * CELL_AT
+    values = np.asarray(fn(x.ravel())).reshape(x.shape)
+    cells = np.einsum("ij,j->i", values, CELL_WEIGHTS) * width
+    _check_finite(cells, start, end)
+    owner = window[seg]
+    return (np.bincount(owner, cells.real, minlength=first.size)
+            + 1j * np.bincount(owner, cells.imag, minlength=first.size))
 
 
-def integrate(fn, a: float, b: float, breakpoints=(), rtol: float = DEFAULT_RTOL) -> complex:
-    """Adaptive panel-respecting integral of fn over [a, b]."""
+def integrate(fn, a: float, b: float, breakpoints=(), poles=None) -> complex:
+    """Integral of fn over [a, b], split at the breakpoints; see
+    ``integrate_many`` for ``poles``."""
     if b == a:
         return 0.0 + 0.0j
-    edges = split_panels(a, b, breakpoints)
-    return complex(integrate_many(fn, edges, rtol=rtol).sum())
+    return complex(integrate_many(fn, split_panels(a, b, breakpoints), poles)[0])
 
 
 def fixed_nodes(a: float, b: float, breakpoints=(), order: int = GL_ORDER):
-    """Nodes and weights of a non-adaptive composite rule on split panels."""
+    """Nodes and weights of a composite order-``order`` rule on split panels."""
     nodes, weights = gauss_legendre(order)
     edges = split_panels(a, b, breakpoints)
     lo, hi = edges[:-1], edges[1:]
@@ -254,7 +226,7 @@ def midpoint_cells(a: float, b: float, breakpoints=(), n: int = 64):
 
 
 def segment_moments(fn, lo, hi, order: int = GL_ORDER):
-    """Non-adaptive Gauss-Legendre integrals of fn over each [lo_i, hi_i].
+    """Order-``order`` Gauss-Legendre integrals of fn over each [lo_i, hi_i].
 
     Intended for segments already known to avoid breakpoints (integrator
     panels); exact for piecewise-polynomial integrands up to degree 15.

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import slcrit as sl
-from slcrit import sampling
+from slcrit import quadrature, sampling
+from slcrit.errors import NumericError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,6 +43,85 @@ def run_cli(args, timeout: float = 60.0, address_space: int = ADDRESS_SPACE):
 def slcrit_subprocess():
     """The ``run_cli`` helper: the CLI in a memory-limited, timed subprocess."""
     return run_cli
+
+
+def _gl8_panels(fn, bounds) -> list:
+    """Order-8 Gauss-Legendre sums on the panels of each (lo, hi) pair in
+    ``bounds``, one call of fn for all, each row summed in a fixed order."""
+    nodes, weights = quadrature.gauss_legendre(8)
+    lo = np.concatenate([pair[0] for pair in bounds])
+    hi = np.concatenate([pair[1] for pair in bounds])
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+    sums = np.einsum("ij,j->i", np.asarray(fn(x.ravel())).reshape(x.shape), weights) * half
+    return np.split(sums, np.cumsum([len(pair[0]) for pair in bounds[:-1]]))
+
+
+def adaptive_integrals(fn, edges, first=None, rtol=1e-10, max_depth=40, budget=1 << 19):
+    """Adaptive oracle: one integral of fn per panel of the edge runs (runs
+    starting at ``first``, as ``quadrature.window_edges`` gives them).
+
+    Every panel bisects until its order-8 estimate and the sum of its two
+    halves agree to its share of the window width times rtol times the
+    window's absolute integral scale, down to 1e-14 of the window width or
+    ``max_depth`` levels.  Raises NumericError on a non-finite estimate and
+    once more than ``budget`` panel evaluations would be spent, where the
+    rounding noise of an integrand never meets the tolerance.
+    """
+    edges = np.asarray(edges, dtype=float)
+    first = np.zeros(1, dtype=int) if first is None else np.asarray(first)
+    joins = np.ones(edges.size - 1, dtype=bool)
+    joins[first[1:] - 1] = False
+    lo, hi = edges[:-1][joins], edges[1:][joins]
+    count = np.diff(np.append(first, edges.size)) - 1
+    window = np.repeat(np.arange(first.size), count)
+    width = edges[first + count] - edges[first]
+    width_floor = 1e-14 * np.maximum(width, 1.0)
+    abs_sums = lambda values, owners: np.bincount(owners, np.abs(values), minlength=first.size)
+    def charge(panels):
+        nonlocal used
+        used += panels
+        if used > budget:
+            raise NumericError(f"adaptive oracle did not reach rtol={rtol} within {budget} panels")
+
+    def check(values):
+        if not np.isfinite(values).all():
+            raise NumericError("adaptive oracle: integrand estimate is not finite")
+
+    used = 0
+    charge(3 * len(lo))
+    owner = np.arange(len(lo))
+    mid = 0.5 * (lo + hi)
+    est, left, right = _gl8_panels(fn, [(lo, hi), (lo, mid), (mid, hi)])
+    check(est)
+    out = np.zeros(len(lo), dtype=complex)
+    abs_scale = abs_sums(est, window)
+    for depth in range(max_depth):
+        if len(lo) == 0:
+            break
+        if depth:
+            charge(2 * len(lo))
+            mid = 0.5 * (lo + hi)
+            left, right = _gl8_panels(fn, [(lo, mid), (mid, hi)])
+        fine = left + right
+        check(fine)
+        live = window[owner]
+        abs_scale = np.maximum(abs_scale, abs_sums(out, window) + abs_sums(fine, live))
+        tol = rtol * abs_scale[live] * (hi - lo) / width[live]
+        done = (np.abs(fine - est) <= tol) | ((hi - lo) <= width_floor[live])
+        np.add.at(out, owner[done], fine[done])
+        keep = ~done
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        owner = np.concatenate([owner[keep], owner[keep]])
+        est = np.concatenate([left[keep], right[keep]])
+    np.add.at(out, owner, est)    # depth exhausted: accept the current refinement
+    return out
+
+
+@pytest.fixture()
+def adaptive():
+    """The ``adaptive_integrals`` oracle."""
+    return adaptive_integrals
 
 
 @pytest.fixture(scope="session")

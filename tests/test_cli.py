@@ -212,6 +212,18 @@ def test_plot_range_imaginary_part(tmp_path):
     assert np.allclose(imags, 1.0, atol=1e-6)
 
 
+def test_plot_spike_profile_gamma(tmp_path, slcrit_subprocess):
+    # gamma of the h = 1000 spike profile has poles 1.5e-9 off its pieces:
+    # the window [0, 1] at mesh 128 assembles on cells graded toward them
+    pot = tmp_path / "vh1000.json"
+    sl.save(sl.vh_profile(1000.0)[1], pot)
+    prefix = tmp_path / "vh"
+    run = slcrit_subprocess(["plot", "--potential", pot, "--out", prefix])
+    assert run.returncode == 0, run.stderr
+    rows = list(csv.reader((tmp_path / "vh_range.csv").read_text().splitlines()))[1:]
+    assert rows and all(math.isfinite(float(v)) for r in rows for v in r)
+
+
 def test_outputs_deterministic(tmp_path, quadratic_file):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

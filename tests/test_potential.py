@@ -229,9 +229,14 @@ def test_restrict():
     assert r(0.75) == pytest.approx(1.0)
 
 
+def _pole_at_zero(mid):
+    """The pole slots of an integrand with one pole, at 0, on every panel."""
+    return np.zeros((1, mid.size))
+
+
 def test_adaptive_quadrature_near_pole():
-    # sharp reciprocal: int_{0.1}^{1} x^-2 dx = 9
-    val = quadrature.integrate(lambda x: x ** -2.0, 0.1, 1.0)
+    # sharp reciprocal, cells graded toward its pole: int_{0.1}^{1} x^-2 dx = 9
+    val = quadrature.integrate(lambda x: x ** -2.0, 0.1, 1.0, poles=_pole_at_zero)
     assert val.real == pytest.approx(9.0, rel=1e-10)
 
 
@@ -343,14 +348,9 @@ def test_values_reject_nan_abscissae():
 
 
 def _kept_edges(a, b, breakpoints):
-    """Edges of the window [a, b], breakpoint by breakpoint: an interior
-    breakpoint is kept unless it lies within the floor of the one before it
-    (or of a) or of b."""
-    floor = 1e-14 * max(abs(a), abs(b), b - a, 1.0)
-    inside = [t for t in sorted(breakpoints) if a < t < b]
-    kept = [t for prev, t in zip([a] + inside, inside)
-            if t - prev >= floor and b - t >= floor]
-    return [a] + kept + [b]
+    """Edges of the window [a, b]: a, every distinct breakpoint strictly
+    inside, b."""
+    return [a] + sorted({t for t in breakpoints if a < t < b}) + [b]
 
 
 def test_window_edges_keep_breakpoints_clear_of_the_floor(corpus):
@@ -363,12 +363,13 @@ def test_window_edges_keep_breakpoints_clear_of_the_floor(corpus):
         runs = np.split(edges, first[1:])
         for a, b, run in zip(starts, ends, runs):
             assert run.tolist() == _kept_edges(a, b, s.breakpoints), name
-    # breakpoints packed within the floor, unsorted for split_panels
-    for bp in ([0.5, 0.5 + 1e-16, 1.0 - 1e-16], [1e-16, 0.25],
+    # breakpoints packed closer than 1e-14, unsorted and repeated for
+    # split_panels: every one strictly inside is kept, once
+    for bp in ([0.5, 0.5 + 1e-16, 1.0 - 1e-16], [1e-16, 0.25, 0.25],
                [0.5 + 1.2e-14, 0.5, 0.5 + 0.6e-14, 0.5 + 1.8e-14]):
         edges = quadrature.split_panels(0.0, 1.0, bp)
         assert edges.tolist() == _kept_edges(0.0, 1.0, bp)
-        assert np.diff(edges).min() >= 1e-14
+        assert np.diff(edges).min() > 0.0
 
 
 def _grid_nodes(a, b, n, breakpoints):
@@ -464,9 +465,9 @@ def test_polynomial_window_moments_match_exact_rationals():
                 assert abs(dev[i] - want_dev) <= 1e-12 * max(want_dev, 1.0), (k, a, b)
 
 
-def test_centred_moments_match_the_adaptive_oracle(corpus):
-    # the adaptive pass of integrate_many, the former moment path, to 1e-10;
-    # its deviation cancels, so it is held to 1e-10 of q2
+def test_centred_moments_match_the_adaptive_oracle(corpus, adaptive):
+    # the adaptive oracle to 1e-10; its deviation cancels, so it is held to
+    # 1e-10 of q2
     for name, s in corpus:
         if name not in ("slots", "s1", "s2", "delta"):
             continue
@@ -474,8 +475,8 @@ def test_centred_moments_match_the_adaptive_oracle(corpus):
         m0, q2, dev = potential.window_moments(s, starts, starts + 0.75)
         for a, got0, got2, got_dev in zip(starts, m0, q2, dev):
             edges = quadrature.split_panels(a, a + 0.75, s.breakpoints)
-            want0 = quadrature.integrate_many(s.values, edges).sum()
-            want2 = quadrature.integrate_many(lambda x: np.abs(s.values(x)) ** 2, edges).sum().real
+            want0 = adaptive(s.values, edges).sum()
+            want2 = adaptive(lambda x: np.abs(s.values(x)) ** 2, edges).sum().real
             assert abs(got0 - want0) <= 1e-10 * max(abs(want0), 1.0), (name, a)
             assert abs(got2 - want2) <= 1e-10 * max(want2, 1.0), (name, a)
             assert abs(got_dev - (want2 - abs(want0) ** 2 / 0.75)) <= 1e-10 * max(want2, 1.0)
@@ -490,39 +491,44 @@ def _calls(fn, sizes):
 
 
 def test_a_window_refining_on_alone_keeps_its_bits_in_a_batch():
-    # the pole-side window [0, 1] refines long after its polynomial batch-mates
-    # are done, down to a panel or two per level: its panels are bitwise the
-    # same integrated alone, at the start of a batch and in its middle
+    # the pole-side window [0, 1] is cut into graded cells, its polynomial
+    # batch-mates are not: its integral is bitwise the same integrated alone,
+    # at the start of a batch and in its middle
     fn = lambda x: np.where(x < 1.0, 1.0 / ((x + 1e-3) * (x + 1e-3)), x * x * x - 2.0j * x)
-    alone_sizes, batch_sizes = [], []
-    alone = quadrature.integrate_many(_calls(fn, alone_sizes), [0.0, 0.5, 1.0])
-    assert alone_sizes[-1] <= 2 * 2 * quadrature.GL_ORDER
+    poles = lambda mid: np.where(mid < 1.0, -1e-3, np.nan)[None, :]
+    sizes = []
+    (alone,) = quadrature.integrate_many(_calls(fn, sizes), [0.0, 0.5, 1.0], poles)
+    assert sizes[0] > 2 * quadrature.CELL_AT.size
+    assert alone == pytest.approx(1e3 - 1.0 / 1.001, rel=1e-13)
     for starts in ([0.0, 1.0, 2.0, 2.5], [1.0, 0.0, 2.0, 3.0, 1.5]):
         starts = np.asarray(starts)
         edges, first = quadrature.window_edges(starts, starts + 1.0, [0.5])
-        batch_sizes.clear()
-        panels = quadrature.integrate_many(_calls(fn, batch_sizes), edges, first=first)
-        k = int(np.flatnonzero(starts == 0.0)[0])
-        at = first[k] - k
-        assert np.array_equal(panels[at:at + 2], alone)
-        assert batch_sizes[0] > alone_sizes[0] and batch_sizes[-1] == alone_sizes[-1]
+        sums = quadrature.integrate_many(fn, edges, poles, first=first)
+        assert sums[np.flatnonzero(starts == 0.0)[0]] == alone
 
 
 def test_rule_sums_do_not_depend_on_the_rows_summed_with_them():
-    # one row, 2 to 2,000 rows and rows split over several pairs all sum alike
+    # one window, 2 to 2,000 windows and shuffled windows all sum alike, the
+    # windows next to the pole -3.05 on graded cells
     rng = np.random.default_rng(38)
     lo = rng.uniform(-3.0, 3.0, 2000)
     hi = lo + rng.uniform(1e-6, 1.0, lo.size)
-    fn = lambda x: (1.0 + 2.0j * x) / (1.5 + x * x) + x * x * x
-    (rows,) = quadrature._gl_panels(fn, [(lo, hi)])
-    ones = [quadrature._gl_panels(fn, [(lo[i:i + 1], hi[i:i + 1])])[0] for i in range(lo.size)]
-    assert np.array_equal(np.concatenate(ones), rows)
+    fn = lambda x: (1.0 + 2.0j * x) / (x + 3.05) + x * x * x
+    poles = lambda mid: np.full((1, mid.size), -3.05)
+    assert quadrature.graded_cells(lo, hi, poles(lo))[0].size > lo.size
+
+    def sums(rows):
+        edges = np.stack([lo[rows], hi[rows]], axis=1).ravel()
+        return quadrature.integrate_many(fn, edges, poles, first=2 * np.arange(rows.size))
+
+    every = sums(np.arange(lo.size))
+    ones = [sums(np.asarray([i]))[0] for i in range(lo.size)]
+    assert np.array_equal(ones, every)
     for size in (2, 3, 7, 255, 256, 257, 1000, 1999):
         for at in (0, lo.size - size):
-            (part,) = quadrature._gl_panels(fn, [(lo[at:at + size], hi[at:at + size])])
-            assert np.array_equal(part, rows[at:at + size]), (size, at)
-    pairs = quadrature._gl_panels(fn, [(lo[:1], hi[:1]), (lo[1:300], hi[1:300]), (lo[300:], hi[300:])])
-    assert np.array_equal(np.concatenate(pairs), rows)
+            assert np.array_equal(sums(np.arange(at, at + size)), every[at:at + size]), (size, at)
+    shuffled = rng.permutation(lo.size)
+    assert np.array_equal(sums(shuffled), every[shuffled])
 
 
 def _linspace_cells(a, b, breakpoints, n):
@@ -578,30 +584,34 @@ def test_adaptive_loop_raises_on_non_finite_estimate():
         sl.moments(s, sl.Interval(0.0, 1.0))
 
 
-def test_pole_reaching_into_a_dropped_sliver_raises():
-    # the breakpoint 1.0 lies within the window-edge floor of the start
-    # 1 - 1e-14, so the segment [1 - 1e-14, 1.001] takes the piece whose pole
-    # sits 2e-15 left of 1.0, inside the segment
+def test_pole_next_to_a_window_end_sliver_has_finite_moments():
+    # the breakpoint 1.0 lies 1e-14 inside the window [1 - 1e-14, 1.5]; it is
+    # a segment edge, so the sliver [1 - 1e-14, 1] takes the constant piece
+    # and the segment [1, 1.001] keeps the pole 2e-15 left of 1.0 outside
     s = sl.Antiderivative(2.0, (0.0, 1.0, 1.001, 2.0),
                           ((PolyTerm((1.0,)),), (RecipTerm(1e-3, 1.0 - 2e-15),),
                            (PolyTerm((0.0, 1.0)),)))
-    with pytest.raises(NumericError, match="inside the segment"):
-        sl.moments(s, sl.Interval(1.0 - 1e-14, 1.5))
+    whole = sl.moments(s, sl.Interval(1.0 - 1e-14, 1.5))
+    part = sl.moments(s, sl.Interval(1.0, 1.5))
+    sliver = 1.0 - (1.0 - 1e-14)
+    assert abs(whole.m0 - (part.m0 + sliver)) <= 1e-15 * abs(part.m0)
+    assert abs(whole.q2 - (part.q2 + sliver)) <= 1e-15 * part.q2
     # from the breakpoint on, the near pole is graded: int 1e-6/(x - p)^2
     u0, u1 = 1.0 - s.pieces[1][0].pole, 1.001 - s.pieces[1][0].pole
-    assert sl.moments(s, sl.Interval(1.0, 1.5)).q2 == pytest.approx(
+    assert part.q2 == pytest.approx(
         1e-6 * (u1 - u0) / (u0 * u1) + (1.5 ** 3 - 1.001 ** 3) / 3, rel=1e-12)
 
 
-def test_adaptive_loop_has_an_evaluation_budget(monkeypatch):
-    # an integrand whose panel estimates never agree: noise
-    noise = np.random.default_rng(3)
-    monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", 5000)
-    with pytest.raises(NumericError, match="5000 panel evaluations"):
-        quadrature.integrate(lambda x: noise.standard_normal(x.size), 0.0, 1.0)
-    # a near-pole integrand still converges well inside the budget
-    assert quadrature.integrate(lambda x: x ** -2.0, 1e-3, 1.0).real == \
-        pytest.approx(999.0, rel=1e-10)
+def test_graded_cells_reach_a_pole_a_thousandth_away():
+    # int_{1e-3}^{1} x^-2 dx = 999 in one call of the integrand, on at most
+    # eight cells graded toward the pole at 0
+    sizes = []
+    val = quadrature.integrate(_calls(lambda x: x ** -2.0, sizes), 1e-3, 1.0, poles=_pole_at_zero)
+    assert val.real == pytest.approx(999.0, rel=1e-10)
+    assert len(sizes) == 1 and sizes[0] <= 8 * quadrature.CELL_AT.size
+    # a pole inside a panel is refused, not integrated across
+    with pytest.raises(NumericError, match="inside the panel"):
+        quadrature.integrate(lambda x: x ** -2.0, -1.0, 1.0, poles=_pole_at_zero)
 
 
 def test_near_pole_moments_match_closed_forms():
