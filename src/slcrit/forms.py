@@ -11,6 +11,9 @@ c the discrete form value is c^H (A - P) c; an optional gauge turns the form
 into  int |y' - k1 g y|^2 - k2 int g^2 |y|^2 - int s d|y|^2, the shape used
 by the scaled counterexample decomposition.  Every matrix is tridiagonal and
 is stored as its diagonal and off-diagonal; dense views are built on demand.
+Every element integral comes from one ``potential.centred_integrals`` call
+per model, in element-local coordinates on s less its value at 0, so an
+added constant and the window's distance from 0 do not cancel in the bands.
 
 Certified bounds on inf |l_I[y]| over the discrete unit sphere come from
 rotated Hermitian eigenproblems: |q| >= Re(e^{-i theta} q) makes every
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature, sectors
+from . import potential, quadrature, sectors
 from .errors import NumericError, ValidationError
 from .potential import Antiderivative, Interval
 from .sectors import Sector
@@ -127,24 +130,36 @@ class WindowForm:
         return _dense(*self.B_bands)
 
 
-def _elements(fn, nodes: np.ndarray, model: Antiderivative) -> np.ndarray:
-    """Integrals of fn, built from the model, over the mesh elements: each
-    element a window of its own, cut at the model's breakpoints and graded
-    toward its poles."""
+def _element_integrals(model: Antiderivative, nodes: np.ndarray, mid: np.ndarray,
+                       rows) -> list:
+    """Integrals of ``rows(v, t, r)`` over the mesh elements, each element a
+    window of ``potential.centred_integrals``: v = model - r with r the
+    model's value at its point 0, so a window sliced from a span keeps its
+    bits, and t = x - mid from each element's (rounded) midpoint."""
     edges, first = quadrature.window_edges(nodes[:-1], nodes[1:], model.breakpoints)
-    return quadrature.integrate_many(fn, edges, model.pole_slots, first=first)
+    return potential.centred_integrals(model, edges, first, np.zeros(mid.size), mid, rows)[0]
 
 
-def _derivative_bands(model: Antiderivative, nodes: np.ndarray) -> tuple:
-    """Bands of int m (phi_i phi_j)' from the element integrals of m and m x,
-    m the model's values."""
-    i0 = _elements(model.values, nodes, model)
-    i1 = _elements(lambda x: model.values(x) * x, nodes, model)
-    xl, xr, h = nodes[:-1], nodes[1:], np.diff(nodes)
-    d_left = (-2.0 / h ** 2) * (xr * i0 - i1)       # int m (phi_l^2)'
-    d_right = (2.0 / h ** 2) * (i1 - xl * i0)       # int m (phi_r^2)'
-    o_mid = (1.0 / h ** 2) * ((xl + xr) * i0 - 2.0 * i1)
+def _derivative_bands(i0, i1, left, right) -> tuple:
+    """Bands of int m (phi_i phi_j)' from the element integrals i0 = int v and
+    i1 = int v t, v = m - r (a constant drops out of every band), t measured
+    from an origin ``left`` past each element's start and ``right`` before
+    its end: phi_l = (right - t) / h and phi_r = (left + t) / h.  Both
+    distances are exact, so a rounded midpoint costs nothing."""
+    scale = 2.0 / (left + right) ** 2
+    d_left = -scale * (right * i0 - i1)         # int m (phi_l^2)'
+    d_right = scale * (left * i0 + i1)          # int m (phi_r^2)'
+    o_mid = scale * (0.5 * (right - left) * i0 - i1)
     return d_right[:-1] + d_left[1:], o_mid[1:-1]
+
+
+def _first_rows(v, t, r):
+    return v, v * t
+
+
+def _gauge_rows(v, t, r):
+    g2 = (v + r).real ** 2      # g is real
+    return v, v * t, g2, g2 * t, g2 * t * t
 
 
 def assemble(s: Antiderivative, interval: Interval, n: int,
@@ -155,7 +170,9 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
     the discrete form becomes
         int |y' - kappa1 g y|^2 - kappa2 int g^2 |y|^2 - int s d|y|^2 .
     ``extra_breakpoints`` forces additional mesh nodes so that forms built
-    from different potentials can share one mesh.
+    from different potentials can share one mesh.  Every element integral
+    is taken in element-local coordinates t = x - midpoint, one
+    ``potential.centred_integrals`` call per model.
     """
     if n < 8:
         raise ValidationError("mesh resolution n must be >= 8")
@@ -169,24 +186,23 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
         breaks += list(g.breakpoints)
     nodes = quadrature.grid(interval.a, interval.b, n, breaks)
     h = np.diff(nodes)
-    xl, xr = nodes[:-1], nodes[1:]
 
     inv_h = 1.0 / h
     A = (inv_h[:-1] + inv_h[1:], -inv_h[1:-1])
     M = ((h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0)
 
-    P = _derivative_bands(s, nodes)
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    left, right = mid - nodes[:-1], nodes[1:] - mid
+    P = _derivative_bands(*_element_integrals(s, nodes, mid, _first_rows), left, right)
     b_diag, b_off = A[0] - P[0], A[1] - P[1]
     gauge_meta = None
     if gauge is not None:
-        Q = [band.real for band in _derivative_bands(g, nodes)]
-        g2 = lambda x: np.abs(g.values(x)) ** 2
-        j0 = _elements(g2, nodes, g).real
-        j1 = _elements(lambda x: g2(x) * x, nodes, g).real
-        j2 = _elements(lambda x: g2(x) * x * x, nodes, g).real
-        r_ll = (xr ** 2 * j0 - 2.0 * xr * j1 + j2) / h ** 2
-        r_rr = (xl ** 2 * j0 - 2.0 * xl * j1 + j2) / h ** 2
-        r_lr = (-xl * xr * j0 + (xl + xr) * j1 - j2) / h ** 2
+        g0, g1, j0, j1, j2 = _element_integrals(g, nodes, mid, _gauge_rows)
+        Q = [band.real for band in _derivative_bands(g0, g1, left, right)]
+        # int g^2 phi phi with phi_l = (right - t) / h and phi_r = (left + t) / h
+        r_ll = (right ** 2 * j0 - 2.0 * right * j1 + j2) / h ** 2
+        r_rr = (left ** 2 * j0 + 2.0 * left * j1 + j2) / h ** 2
+        r_lr = (left * right * j0 + (right - left) * j1 - j2) / h ** 2
         R = (r_rr[:-1] + r_ll[1:], r_lr[1:-1])
 
         mix = kappa1 ** 2 - kappa2
@@ -658,7 +674,6 @@ class ScanRow:
 @dataclass(frozen=True)
 class ScanResult:
     rows: tuple
-    common_sector: Sector | None
     lower_bounds_monotone: bool
 
     def lower_bounds(self) -> np.ndarray:
@@ -706,9 +721,8 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
     Each window is a slice of a span assembly (``_spans``), bitwise its own
     ``assemble``, except a window with an end that a breakpoint within the
     grid floor displaced in the span: it is assembled alone.  A span's real
-    windows are swept at once, all complex ones at the end.  The summary
-    re-fits one vertex for the hull of the per-window angles over all
-    boundary samples and flags monotone lower bounds.
+    windows are swept at once, all complex ones at the end.  The result
+    flags monotone lower bounds.
     """
     if s.domain_end < 2.0:
         raise ValidationError("scan needs domain_end >= 2 for a full window pair")
@@ -729,19 +743,10 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
         ests.update((k, _swept_range(thetas, low, z)) for k, low, z in zip(order, lows, samples))
     rows = [ScanRow(wins[k], est.sector, float(est.lambda_mins[0]), est.inf_modulus_lower,
                     est.inf_modulus_upper, est.boundary) for k, est in sorted(ests.items())]
-    common = None
-    if all(r.sector for r in rows):
-        lo, span = sectors.minimal_arc(
-            np.asarray([(r.sector.alpha, r.sector.beta) for r in rows]).ravel())
-        if span < math.pi - 1e-12:
-            all_samples = np.concatenate([r.boundary for r in rows])
-            vertex = sectors.refit_vertex(all_samples, lo, lo + span)
-            common = Sector(vertex, lo, lo + span)
     lowers = np.asarray([r.inf_lower for r in rows])
     tol = 1e-6 * max(1.0, float(np.max(np.abs(lowers))))
     monotone = bool(np.all(np.diff(lowers) >= -tol))
-    return ScanResult(rows=tuple(rows), common_sector=common,
-                      lower_bounds_monotone=monotone)
+    return ScanResult(rows=tuple(rows), lower_bounds_monotone=monotone)
 
 
 def scan_to_csv(result: ScanResult, path) -> None:

@@ -33,7 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, NumericError, UnsupportedInputError, ValidationError
+from .errors import DomainError, UnsupportedInputError, ValidationError
 
 _POLE_MARGIN = 1e-12
 
@@ -321,75 +321,73 @@ def _horner_shift(c: np.ndarray, z: np.ndarray) -> tuple:
     return b0, e1, c[3] * z + e2, c[3]
 
 
-def _centred_moments(s: Antiderivative, edges, first, starts, ends) -> tuple:
-    """(m0, q2, dev) of the windows [starts_i, ends_i] of one batch, whose
-    segment runs ``edges``/``first`` are as ``window_edges`` gives them."""
+def centred_integrals(s: Antiderivative, edges, first, refs, origins, rows) -> tuple:
+    """Integrals of ``rows(v, t, r)`` over the windows of one batch, and r.
+
+    ``edges``/``first`` are the windows' segment runs as ``window_edges``
+    gives them.  Window i's reference r_i is the polynomial part of s plus
+    its cumulative jumps at the point ``refs[i]`` (reciprocal terms left out,
+    so r stays finite next to a pole).  Every segment's cubic is
+    Taylor-shifted to ``refs[i]`` by synthetic division, its jump added and
+    r_i taken off its constant term with the same Horner steps that gave
+    r_i, so a large mean cancels once per segment, in coefficient space; the
+    cubic is then shifted to t = x - ``origins[i]`` (a shift by 0 is exact).
+    v = s - r is evaluated once on the graded cells of every segment
+    (``quadrature.graded_cells``), the reciprocal terms from pole-relative
+    abscissae, and ``rows`` maps v, t and r (a column per cell) to the
+    integrands, each integrated by ``quadrature.window_sums``.  Returns the
+    list of per-window integrals and r.
+    """
     coef, amps, poles, nrecip = s._table
     inner = s._bp_arr[1:-1]
-    centre = 0.5 * (starts + ends)
-    ref_poly = _horner_shift(coef[:, inner.searchsorted(centre, side="right")], centre)[0]
-    ref_jump = s._jump_cum[s._jump_locs.searchsorted(centre, side="right")]
+    ref_poly = _horner_shift(coef[:, inner.searchsorted(refs, side="right")], refs)[0]
+    ref_jump = s._jump_cum[s._jump_locs.searchsorted(refs, side="right")]
 
     lo, hi, window = quadrature.panels(edges, first)
     mid = 0.5 * (lo + hi)
     piece = inner.searchsorted(mid, side="right")
-    z = centre[window]
-    b0, b1, b2, b3 = _horner_shift(coef[:, piece], z)
+    b0, b1, b2, b3 = _horner_shift(coef[:, piece], refs[window])
     # the offset cancels here, once per segment: the same Horner steps give
-    # b0 and ref_poly on the piece at the centre
+    # b0 and ref_poly on the piece at the reference point
     jump = s._jump_cum[s._jump_locs.searchsorted(mid, side="right")]
     b0 = (b0 - ref_poly[window]) + (jump - ref_jump[window])
+    z = origins[window]
+    b0, b1, b2, b3 = _horner_shift((b0, b1, b2, b3), z - refs[window])
 
     active = [nrecip[piece] > j for j in range(amps.shape[0])]
     start, end, seg = quadrature.graded_cells(lo, hi, poles[:, piece])
-    width = end - start
-    offset = width[:, None] * quadrature.CELL_AT
+    offset = (end - start)[:, None] * quadrature.CELL_AT
     t = (start - z[seg])[:, None] + offset
     b1, b2, b3 = b1[seg, None], b2[seg, None], b3[seg, None]
     values = ((b3 * t + b2) * t + b1) * t + b0[seg, None]
     for j, on in enumerate(active):
-        rows = np.flatnonzero(on[seg])
-        k = piece[seg[rows]]
-        values[rows] += amps[j, k][:, None] / ((start[rows] - poles[j, k])[:, None]
-                                               + offset[rows])
-    m = np.einsum("ij,j->i", values, quadrature.CELL_WEIGHTS) * width
-    q = np.einsum("ij,j->i", values.real ** 2 + values.imag ** 2, quadrature.CELL_WEIGHTS) * width
-    if not np.isfinite(q).all():    # q is finite only where every value is
-        i = np.flatnonzero(~np.isfinite(q))[0]
-        raise NumericError(f"centred integrand on [{float(start[i])!r}, "
-                           f"{float(end[i])!r}] is not finite")
+        cells = np.flatnonzero(on[seg])
+        k = piece[seg[cells]]
+        values[cells] += amps[j, k][:, None] / ((start[cells] - poles[j, k])[:, None]
+                                                + offset[cells])
     owner = window[seg]
-    M = (np.bincount(owner, m.real, minlength=first.size)
-         + 1j * np.bincount(owner, m.imag, minlength=first.size))
-    Q = np.bincount(owner, q, minlength=first.size)
-
-    a = ends - starts
     r = ref_poly + ref_jump
-    with np.errstate(over="ignore"):    # |r|^2 may overflow where |s - r|^2 does not
-        q2 = Q + 2.0 * (r.conj() * M).real + a * np.abs(r) ** 2
-    return a * r + M, q2, np.maximum(Q - np.abs(M) ** 2 / a, 0.0)
+    return quadrature.window_sums(rows(values, t, r[owner, None]), start, end, owner,
+                                  first.size), r
+
+
+def _moment_rows(v, t, r):
+    return v, v.real ** 2 + v.imag ** 2
 
 
 def window_moments(s: Antiderivative, starts, ends) -> tuple:
     """Moments m0 = int s, q2 = int |s|^2 and dev = min_c int |s - c|^2 over
     every window [starts_i, ends_i].
 
-    Each window is centred on a reference r: at its centre x_c, the
-    polynomial part of s plus its cumulative jumps (reciprocal terms left
-    out, so r stays finite next to a pole).  Every segment's cubic is
-    Taylor-shifted to t = x - x_c, its jump added and r taken off its
-    constant term, so that a large mean cancels once per segment, in
-    coefficient space.  One fixed pass integrates M = int (s - r) and
-    Q = int |s - r|^2: every segment between breakpoints is one cell of
-    16-point Gauss-Legendre, exact for the degree-6 square of a cubic, graded
-    into cells toward any pole closer than its width, and the reciprocal
-    terms are evaluated from pole-relative abscissae.  Then m0 = a r + M,
+    ``centred_integrals``, with each window's centre as reference point and
+    origin, gives M = int (s - r) and Q = int |s - r|^2 (16 points per cell
+    are exact for the degree-6 square of a cubic).  Then m0 = a r + M,
     q2 = Q + 2 Re(conj(r) M) + a |r|^2 and dev = Q - |M|^2 / a, so the mean
     never cancels against itself.  The windows go in batches of at most
     ``quadrature.BATCH_PANELS`` segments, which bounds the memory of a pass;
-    each window is summed in its own segment order, so its values do not
-    depend on its batch-mates.  Raises NumericError on a non-finite centred
-    integrand.  Returns the arrays (m0, q2, dev).
+    each window's values do not depend on its batch-mates.  Raises
+    NumericError on a non-finite centred integrand.  Returns the arrays
+    (m0, q2, dev).
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     ends = np.atleast_1d(np.asarray(ends, dtype=float))
@@ -398,18 +396,22 @@ def window_moments(s: Antiderivative, starts, ends) -> tuple:
                           f"[{starts.min()}, {ends.max()}]")
     edges, first = quadrature.window_edges(starts, ends, s.breakpoints)
     sums = first - np.arange(first.size)    # each window's first segment
-    m0 = np.empty(first.size, dtype=complex)
-    q2 = np.empty(first.size)
-    dev = np.empty(first.size)
+    centre = 0.5 * (starts + ends)
+    M = np.empty(first.size, dtype=complex)
+    Q = np.empty(first.size)
+    r = np.empty(first.size, dtype=complex)
     lo = 0
     while lo < first.size:
         # the windows that start within BATCH_PANELS segments of this batch
         hi = max(lo + 1, int(sums.searchsorted(sums[lo] + quadrature.BATCH_PANELS)))
         cut = edges[first[lo]:first[hi] if hi < first.size else None]
-        m0[lo:hi], q2[lo:hi], dev[lo:hi] = _centred_moments(
-            s, cut, first[lo:hi] - first[lo], starts[lo:hi], ends[lo:hi])
+        (M[lo:hi], Q[lo:hi]), r[lo:hi] = centred_integrals(
+            s, cut, first[lo:hi] - first[lo], centre[lo:hi], centre[lo:hi], _moment_rows)
         lo = hi
-    return m0, q2, dev
+    a = ends - starts
+    with np.errstate(over="ignore"):    # |r|^2 may overflow where |s - r|^2 does not
+        q2 = Q + 2.0 * (r.conj() * M).real + a * np.abs(r) ** 2
+    return a * r + M, q2, np.maximum(Q - np.abs(M) ** 2 / a, 0.0)
 
 
 def moments(s: Antiderivative, interval: Interval) -> Moments:

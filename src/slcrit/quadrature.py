@@ -11,11 +11,13 @@ ellipse of parameter rho about a cell and bounded there by M, the n-point
 rule errs by at most 64 M rho^(-2n) / (15 (rho^2 - 1)) times the half-width
 (Trefethen, SIAM Review 50, 2008, Thm 4.5).  A graded cell lies at least a
 third of its width from every pole, so rho >= 3 and 16 points err by about
-3^-32 ~ 5e-16 of M.  A window's integral is the sum of its cells in a fixed
-order, so it is bitwise the same whatever windows share the call.  Window
-moments of the potential take the same cells on centred coefficients
-(``potential.window_moments``); ``segment_moments`` (the integrator's panels)
-and ``fixed_nodes`` (the brute-force oracle) are order-8 rules of their own.
+3^-32 ~ 5e-16 of M.  The cell cut (``graded_cells``) and the per-window sum
+(``window_sums``, each window's cells in a fixed order, so a window's
+integral is bitwise the same whatever windows share the call) exist once:
+``potential.centred_integrals`` takes them for the window moments and every
+FEM element, ``integrate_many`` for ``integrate``.  ``segment_moments`` (the
+integrator's panels) and ``fixed_nodes`` (the brute-force oracle) are
+order-8 rules of their own.
 """
 
 from __future__ import annotations
@@ -155,11 +157,28 @@ def graded_cells(lo, hi, poles) -> tuple:
     return at, np.where(last, hi[seg], np.append(at[1:], 0.0)), seg
 
 
-def _check_finite(est: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    if not np.isfinite(est).all():
-        i = np.flatnonzero(~np.isfinite(est))[0]
-        raise NumericError(f"integrand estimate {complex(est[i])} on "
-                           f"[{float(lo[i])!r}, {float(hi[i])!r}] is not finite")
+def window_sums(rows, start, end, owner, count) -> list:
+    """Per-window integrals of integrands sampled on cells, one array per row.
+
+    Each row holds an integrand's values at the 16 nodes of every cell
+    [start_j, end_j]; cell j belongs to window ``owner[j]`` of ``count``.  A
+    window's integral is the sum of its cells in order, so it is bitwise the
+    same whatever windows share the call.  A real row gives real integrals.
+    Raises NumericError on a non-finite cell.
+    """
+    width = end - start
+    out = []
+    for values in rows:
+        cells = np.einsum("ij,j->i", values, CELL_WEIGHTS) * width
+        if not np.isfinite(cells).all():
+            i = np.flatnonzero(~np.isfinite(cells))[0]
+            raise NumericError(f"integrand estimate {complex(cells[i])} on "
+                               f"[{float(start[i])!r}, {float(end[i])!r}] is not finite")
+        total = np.bincount(owner, cells.real, minlength=count)
+        if np.iscomplexobj(cells):
+            total = total + 1j * np.bincount(owner, cells.imag, minlength=count)
+        out.append(total)
+    return out
 
 
 def integrate_many(fn, edges, poles=None, first=None) -> np.ndarray:
@@ -171,24 +190,16 @@ def integrate_many(fn, edges, poles=None, first=None) -> np.ndarray:
     from: a function of the panels' midpoints that returns their pole slots
     (as ``Antiderivative.pole_slots``), toward which ``graded_cells`` grades
     each panel; without it every panel is one cell.  fn is called once, on
-    the 16 Gauss-Legendre nodes of every cell.  A window's integral is the
-    sum of its cells in order, so it is bitwise the same however many
-    windows share the call.  Raises NumericError on a non-finite cell.
+    the 16 Gauss-Legendre nodes of every cell, and ``window_sums`` adds up
+    each window.  Raises NumericError on a non-finite cell.
     """
     first = np.zeros(1, dtype=int) if first is None else np.asarray(first)
     lo, hi, window = panels(np.asarray(edges, dtype=float), first)
-    if poles is None:
-        start, end, seg = lo, hi, np.arange(lo.size)
-    else:
-        start, end, seg = graded_cells(lo, hi, poles(0.5 * (lo + hi)))
-    width = end - start
-    x = start[:, None] + width[:, None] * CELL_AT
+    slots = () if poles is None else poles(0.5 * (lo + hi))
+    start, end, seg = graded_cells(lo, hi, slots)
+    x = start[:, None] + (end - start)[:, None] * CELL_AT
     values = np.asarray(fn(x.ravel())).reshape(x.shape)
-    cells = np.einsum("ij,j->i", values, CELL_WEIGHTS) * width
-    _check_finite(cells, start, end)
-    owner = window[seg]
-    return (np.bincount(owner, cells.real, minlength=first.size)
-            + 1j * np.bincount(owner, cells.imag, minlength=first.size))
+    return window_sums([values], start, end, window[seg], first.size)[0]
 
 
 def integrate(fn, a: float, b: float, breakpoints=(), poles=None) -> complex:
@@ -228,6 +239,8 @@ def midpoint_cells(a: float, b: float, breakpoints=(), n: int = 64):
 def segment_moments(fn, lo, hi, order: int = GL_ORDER):
     """Order-``order`` Gauss-Legendre integrals of fn over each [lo_i, hi_i].
 
+    fn may return stacked rows (a sequence of arrays like its argument), each
+    integrated alike: the result then has one leading axis per row.
     Intended for segments already known to avoid breakpoints (integrator
     panels); exact for piecewise-polynomial integrands up to degree 15.
     """
@@ -237,5 +250,5 @@ def segment_moments(fn, lo, hi, order: int = GL_ORDER):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[..., None] + half[..., None] * nodes
-    vals = np.asarray(fn(x.ravel())).reshape(x.shape)
-    return (vals @ weights) * half
+    vals = np.asarray(fn(x.ravel()))
+    return (vals.reshape(vals.shape[:-1] + x.shape) @ weights) * half

@@ -94,8 +94,11 @@ def _transfers(s: Antiderivative, lo, hi) -> np.ndarray:
     cosh(w) and sinh(w)/w are entire in w^2, so a short Taylor series
     replaces them where |w^2| is tiny.
     """
-    s1 = quadrature.segment_moments(s.values, lo, hi)
-    s2 = quadrature.segment_moments(lambda x: s.values(x) ** 2, lo, hi)
+    def powers(x):      # s and s^2 from one evaluation
+        v = s.values(x)
+        return v, v ** 2
+
+    s1, s2 = quadrature.segment_moments(powers, lo, hi)
     h = hi - lo
     w2 = s1 * s1 - h * s2
     small = np.abs(w2) < 1e-8

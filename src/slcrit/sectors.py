@@ -287,28 +287,3 @@ def fit_sector(points, require_strict_args: bool = False,
     if require_strict_args and not sector.is_strict():
         return None
     return sector
-
-
-def refit_vertex(points, alpha: float, beta: float) -> complex:
-    """Vertex making the sector [alpha, beta] contain all points tightly.
-
-    Solves for the intersection of the two supporting side lines; for a
-    degenerate opening the vertex is the extreme point against the ray
-    direction.
-    """
-    pts = np.asarray(points, dtype=complex).ravel()
-    if pts.size == 0:
-        return 0j
-    span = beta - alpha
-    if span < 1e-9:
-        proj = np.real(pts * np.exp(-1j * alpha))
-        return complex(pts[int(np.argmin(proj))])
-    nu1 = alpha + math.pi / 2.0
-    nu2 = beta - math.pi / 2.0
-    p1 = float(np.min(np.real(pts * np.exp(-1j * nu1))))
-    p2 = float(np.min(np.real(pts * np.exp(-1j * nu2))))
-    mat = np.array([[math.cos(nu1), math.sin(nu1)],
-                    [math.cos(nu2), math.sin(nu2)]])
-    rhs = np.array([p1, p2])
-    xy = np.linalg.solve(mat, rhs)
-    return complex(xy[0], xy[1])

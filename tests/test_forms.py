@@ -57,19 +57,64 @@ def test_gauge_off_matches_plain():
     assert np.allclose(dense(plain.P_bands), dense(gauged.P_bands))
 
 
-def test_fixed_rule_bands_match_the_adaptive_oracle(corpus, adaptive, monkeypatch):
+def test_fixed_rule_bands_match_the_adaptive_oracle(corpus, adaptive):
     # B bands of every unit window at a half-integer offset, mesh 128, against
-    # element integrals of the adaptive oracle to 1e-11 of max(|entry|, 1);
-    # vh1000's one window [0, 1] is left out: the rounding noise of x - p next
-    # to its poles exhausts the oracle's budget
-    windows = [(name, s, sl.Interval(a, a + 1.0)) for name, s in corpus if name != "vh1000"
-               for a in np.arange(0.0, s.domain_end - 0.75, 0.5)]
-    fixed = [forms.assemble(s, w, 128).B_bands for _name, s, w in windows]
-    monkeypatch.setattr(forms, "_elements", lambda fn, nodes, _model: adaptive(
-        fn, np.repeat(nodes, 2)[1:-1], first=np.arange(0, 2 * nodes.size - 2, 2)))
-    for (name, s, w), got in zip(windows, fixed):
-        for band, want in zip(got, forms.assemble(s, w, 128).B_bands):
-            assert np.all(np.abs(band - want) <= 1e-11 * np.maximum(np.abs(want), 1.0)), (name, w.a)
+    # bands formed from the adaptive oracle's element integrals of m and m x
+    # in global coordinates, to 1e-11 of max(|entry|, 1); vh1000's one window
+    # [0, 1] is left out: the rounding noise of x - p next to its poles
+    # exhausts the oracle's budget
+    for name, s in corpus:
+        for a in np.arange(0.0, s.domain_end - 0.75, 0.5) if name != "vh1000" else ():
+            w = forms.assemble(s, sl.Interval(a, a + 1.0), 128)
+            xl, xr, h = w.nodes[:-1], w.nodes[1:], np.diff(w.nodes)
+            edges, first = np.repeat(w.nodes, 2)[1:-1], np.arange(0, 2 * h.size, 2)
+            i0 = adaptive(s.values, edges, first=first)
+            i1 = adaptive(lambda x: s.values(x) * x, edges, first=first)
+            d_left = (-2.0 / h ** 2) * (xr * i0 - i1)
+            d_right = (2.0 / h ** 2) * (i1 - xl * i0)
+            o_mid = (1.0 / h ** 2) * ((xl + xr) * i0 - 2.0 * i1)
+            want = (w.A_bands[0] - d_right[:-1] - d_left[1:], w.A_bands[1] - o_mid[1:-1])
+            for band, ref in zip(w.B_bands, want):
+                assert np.all(np.abs(band - ref) <= 1e-11 * np.maximum(np.abs(ref), 1.0)), (name, a)
+
+
+def _exact_p_bands(s, nodes, part):
+    """``part`` (real or imaginary) of the P bands of a polynomial-plus-jump
+    model, in exact rationals: element integrals of s and s x from exact
+    power moments of every piece, split at breakpoints, plus its jumps."""
+    x = [Fraction(float(t)) for t in nodes]
+    bands = []
+    for xl, xr in zip(x[:-1], x[1:]):
+        cuts = [xl] + [Fraction(t) for t in s.breakpoints if xl < t < xr] + [xr]
+        i0 = i1 = Fraction(0)
+        for u, w in zip(cuts[:-1], cuts[1:]):
+            piece = s.pieces[s.piece_index(float((u + w) / 2))]
+            coeffs = list(piece[0].coeffs) if piece else [0j]
+            coeffs[0] += sum((off for at, off in s.jumps if at <= u), 0j)
+            for k, c in enumerate(Fraction(part(c)) for c in coeffs):
+                i0 += c * (w ** (k + 1) - u ** (k + 1)) / (k + 1)
+                i1 += c * (w ** (k + 2) - u ** (k + 2)) / (k + 2)
+        h2 = (xr - xl) ** 2
+        bands.append((-2 * (xr * i0 - i1) / h2, 2 * (i1 - xl * i0) / h2,
+                      ((xl + xr) * i0 - 2 * i1) / h2))
+    d_left, d_right, o_mid = zip(*bands)
+    return ([float(a + b) for a, b in zip(d_right[:-1], d_left[1:])],
+            [float(o) for o in o_mid[1:-1]])
+
+
+def test_bands_match_exact_rational_element_integrals():
+    # the P bands of random polynomial-plus-jump models on every unit window
+    # at a half-integer offset, mesh 32, to 1e-11 of max(|entry|, 1)
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        s = sampling.random_antiderivative(rng, domain_end=6.0, pieces=6, jumps=2)
+        for a in np.arange(0.0, 5.5, 0.5):
+            w = forms.assemble(s, sl.Interval(a, a + 1.0), 32)
+            re, im = (_exact_p_bands(s, w.nodes, part) for part in (lambda c: c.real,
+                                                                     lambda c: c.imag))
+            for band, r, i in zip(w.P_bands, re, im):
+                want = np.asarray(r) + 1j * np.asarray(i)
+                assert np.all(np.abs(band - want) <= 1e-11 * np.maximum(np.abs(want), 1.0)), a
 
 
 def test_matrix_structure_invariants():
@@ -185,7 +230,6 @@ def test_localization_scan_free_potential():
         assert row.sector is not None
         assert row.sector.opening == pytest.approx(0.0)
     assert scan.lower_bounds_monotone
-    assert scan.common_sector is not None
 
 
 def test_localization_scan_quadratic_trend():

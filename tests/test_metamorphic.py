@@ -1,12 +1,15 @@
 """Relations the theory guarantees for every input, checked without an oracle.
 
 Adding a constant to s leaves the modelled operator unchanged, and
-conjugating s conjugates it.  So the window deviation, the double integral
-and the verdict must not move under s -> s + c, and the deviation must not
-move under s -> conj(s).  Documents are drawn by ``hypothesis`` under one
+conjugating s conjugates it.  So the window deviation, the double integral,
+the verdict and the window forms' bounds must not move under s -> s + c, and
+the deviation must not move under s -> conj(s).  Moving a window along
+x^2/2 adds the shift to q = x, so it adds the shift to every eigenvalue.  Documents are drawn by ``hypothesis`` under one
 fixed, derandomized profile, so every run checks the same examples; each
 relation states its tolerance and why.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import slcrit as sl
-from slcrit import criteria, potential
+from slcrit import criteria, forms, potential
 
 PROFILE = settings(max_examples=30, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -117,3 +120,65 @@ def test_offset_keeps_the_exact_deviation_of_a_line(c):
     assert dev == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert dbl == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert criteria.decompose_unif(s).sigma1_sup_sq == pytest.approx(1.0 / 12.0, rel=1e-12)
+
+
+def _scan_bounds(s):
+    return [(r.herm_lambda_min, r.inf_lower, r.inf_upper)
+            for r in forms.localization_scan(s, n=16, angles=16).rows]
+
+
+@settings(PROFILE, max_examples=8)
+@given(doc=documents(max_pieces=1), c=OFFSETS)
+def test_offset_leaves_one_piece_scan_bounds_bitwise(doc, c):
+    # with c0 = 0 the offset piece's constant term is c exactly, the element
+    # pass takes the reference c off it exactly, and every band keeps its bits
+    piece = doc["pieces"][0][0]
+    piece["re"][0] = piece["im"][0] = 0.0
+    s = potential.from_dict(doc)
+    assert _scan_bounds(potential.offset(s, c)) == _scan_bounds(s)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e4, 1e6, 1e8])
+def test_offset_keeps_the_bits_of_a_window_form(c):
+    # moved by 1.07e-5 relative at c = 1e8 while elements were integrated in
+    # global coordinates
+    s = sl.from_poly((0.0, 1.0, 0.5), 4.0)
+    w = sl.Interval(2.0, 3.0)
+    assert (forms.herm_lambda_min(forms.assemble(potential.offset(s, c), w, 128))
+            == forms.herm_lambda_min(forms.assemble(s, w, 128)))
+
+
+def _lowest(w):
+    """herm_lambda_min of w and ||y'|| / ||y|| of its eigenvector y."""
+    low, _samples, vecs = forms._rotation_sweep([w], forms._REAL_THETAS, vectors=True)
+    y = vecs[0, 0, :w.dim]
+    slope = forms._bilinear(w.A_bands, y, y).real / forms._bilinear(w.M_bands, y, y).real
+    return low[0, 0], math.sqrt(slope)
+
+
+@settings(PROFILE, max_examples=12)
+@given(doc=documents(recips=False), c=OFFSETS)
+def test_offset_moves_herm_lambda_min_by_model_rounding_only(doc, c):
+    # several pieces: each piece's v = s - r moves by at most the module's
+    # delta (its constant term and r round with c), so for unit-mass y the
+    # form moves by at most delta int |(|y|^2)'| <= 2 delta ||y'||, and
+    # lambda_min by that at one of the two eigenvectors; 64 eps of the
+    # larger bound allows for the kernel's own stopping rule
+    s = potential.from_dict(doc)
+    mid = 0.5 * s.domain_end
+    win = sl.Interval(mid - 0.5, mid + 0.5)
+    low, slope = _lowest(forms.assemble(s, win, 32))
+    low1, slope1 = _lowest(forms.assemble(potential.offset(s, c), win, 32))
+    delta = 4.0 * EPS * (abs(c) + _coefficient_scale(s))
+    bound = 2.0 * delta * max(slope, slope1) + 64.0 * EPS * max(abs(low), 1.0)
+    assert abs(low1 - low) <= bound, (abs(low1 - low), bound)
+
+
+def test_translation_adds_the_shift_to_herm_lambda_min():
+    # on [k, k+1], x^2/2 = k^2/2 + k y + y^2/2: the constant drops out and
+    # k y adds k M to the form, so lambda_min gains exactly k; global
+    # coordinates missed by 1.3e-7 relative at k = 3000
+    s = sl.from_poly((0.0, 0.0, 0.5), 3001.0)
+    base = forms.herm_lambda_min(forms.assemble(s, sl.Interval(0.0, 1.0), 128))
+    moved = forms.herm_lambda_min(forms.assemble(s, sl.Interval(3000.0, 3001.0), 128))
+    assert moved == pytest.approx(3000.0 + base, rel=1e-11)
