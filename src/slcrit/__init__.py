@@ -8,8 +8,8 @@ regularized first-order system, and builds the semi-bounded counterexample
 potentials.
 """
 
-from .errors import (AssemblyError, DomainError, GenerationError, NumericError,
-                     SlcritError, UnsupportedInputError, ValidationError)
+from .errors import (DomainError, GenerationError, NumericError, SlcritError,
+                     UnsupportedInputError, ValidationError)
 from .potential import (Antiderivative, Interval, PiecewiseLinear, PolyTerm,
                         RecipTerm, add, build_counterexample, delta_sum,
                         from_poly, load, miura, moments, offset, restrict,

@@ -17,10 +17,6 @@ class UnsupportedInputError(SlcritError, ValueError):
     """Input is valid but outside the representable class of an operation."""
 
 
-class AssemblyError(SlcritError, RuntimeError):
-    """Finite-element assembly could not honour a breakpoint constraint."""
-
-
 class GenerationError(SlcritError, RuntimeError):
     """A constructive search (e.g. block-height doubling) failed to finish."""
 

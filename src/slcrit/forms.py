@@ -14,6 +14,9 @@ is stored as its diagonal and off-diagonal; dense views are built on demand.
 Every element integral comes from one ``potential.centred_integrals`` call
 per model, in element-local coordinates on s less its value at 0, so an
 added constant and the window's distance from 0 do not cancel in the bands.
+The overlapping-window partition identity takes every weighted window's
+form from one such call too, on s less its value at the centre of the
+support of y.
 
 Certified bounds on inf |l_I[y]| over the discrete unit sphere come from
 rotated Hermitian eigenproblems: |q| >= Re(e^{-i theta} q) makes every
@@ -33,6 +36,7 @@ slices its windows' bands out of span assemblies on one mesh lattice.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,10 +136,10 @@ class WindowForm:
 
 def _element_integrals(model: Antiderivative, nodes: np.ndarray, mid: np.ndarray,
                        rows) -> list:
-    """Integrals of ``rows(v, t, r)`` over the mesh elements, each element a
-    window of ``potential.centred_integrals``: v = model - r with r the
-    model's value at its point 0, so a window sliced from a span keeps its
-    bits, and t = x - mid from each element's (rounded) midpoint."""
+    """Integrals of ``rows(v, t, r, window)`` over the mesh elements, each
+    element a window of ``potential.centred_integrals``: v = model - r with r
+    the model's value at its point 0, so a window sliced from a span keeps
+    its bits, and t = x - mid from each element's (rounded) midpoint."""
     edges, first = quadrature.window_edges(nodes[:-1], nodes[1:], model.breakpoints)
     return potential.centred_integrals(model, edges, first, np.zeros(mid.size), mid, rows)[0]
 
@@ -153,11 +157,11 @@ def _derivative_bands(i0, i1, left, right) -> tuple:
     return d_right[:-1] + d_left[1:], o_mid[1:-1]
 
 
-def _first_rows(v, t, r):
+def _first_rows(v, t, r, _window):
     return v, v * t
 
 
-def _gauge_rows(v, t, r):
+def _gauge_rows(v, t, r, _window):
     g2 = (v + r).real ** 2      # g is real
     return v, v * t, g2, g2 * t, g2 * t * t
 
@@ -763,19 +767,24 @@ def scan_to_csv(result: ScanResult, path) -> None:
                             + [repr(r.herm_lambda_min), repr(r.inf_lower), repr(r.inf_upper)])
 
 
-# -- quadrature evaluation of the form on explicit functions ------------------
+# -- the overlapping-window partition identity -------------------------------
 
 
-def dirichlet_form_quadrature(s: Antiderivative, fn, dfn, lo: float, hi: float,
-                              extra_breaks=()) -> complex:
-    """l[y] = int |y'|^2 - int s (y conj(y))' dx for an explicit y on [lo, hi],
-    the potential part graded toward the poles of s."""
-    breaks = list(s.breakpoints) + list(extra_breaks)
-    kinetic = quadrature.integrate(lambda x: np.abs(dfn(x)) ** 2, lo, hi, breaks)
-    pot = quadrature.integrate(
-        lambda x: s.values(x) * 2.0 * np.real(dfn(x) * np.conj(fn(x))),
-        lo, hi, breaks, s.pole_slots)
-    return complex(kinetic - pot)
+def _phase(alpha, beta, u):
+    """p = alpha - beta cos(pi u) and dp/dx, u = 2x - a - b: with alpha =
+    cos(pi (b - a)) / 2 and beta = 1/2 this is phi_a phi_b, with beta = 0
+    the constant alpha."""
+    return alpha - beta * np.cos(np.pi * u), 2.0 * np.pi * beta * np.sin(np.pi * u)
+
+
+def _weighted_rows(y, mid, alpha, beta, sigma, v, t, r, window):
+    """|w'|^2, v (|w|^2)' and |y|^2 on the cells of windows whose w = p y,
+    x = t + mid."""
+    x = t + mid
+    p, dp = _phase(alpha[window], beta[window], 2.0 * x - sigma[window])
+    yv = y.values(x)
+    w, dw = p * yv, dp * yv + p * y.deriv_values(x)
+    return np.abs(dw) ** 2, v * (2.0 * (dw * w.conj()).real), np.abs(yv) ** 2
 
 
 @dataclass(frozen=True)
@@ -797,67 +806,44 @@ def partition_identity_check(s: Antiderivative, y: PiecewisePoly,
         l[y] = sum l[y_k] + 2 sum l[u_k] - 2 sum int (phi_k' phi_{k+1}
                 - phi_k phi_{k+1}')^2 |y|^2
 
-    holds, and the correction term never exceeds 2 pi^2 ||y||^2.  Offsets
-    default to the half-shifted lattice -1/2, 0, 1/2, ... clipped to [0, X],
-    whose squared weights sum to one on the whole support.
+    holds, and the correction term never exceeds 2 pi^2 ||y||^2: the
+    Wronskian of two sines is the constant -pi sin(pi (a_{k+1} - a_k)).
+    Offsets default to the half-shifted lattice -1/2, 0, 1/2, ... clipped to
+    [0, X], whose squared weights sum to one on the whole support.  Every
+    window is clipped to the support of y, and every form comes from one
+    ``potential.centred_integrals`` call with the support's centre as
+    reference point and origin, so the windows share v = s - r cell by cell
+    and int s (|w|^2)' = int v (|w|^2)' + r |w|^2 between the window ends.
     """
-    X = s.domain_end
-    lo_y, hi_y = y.support
-    if hi_y > X - 1.0 + 1e-9:
+    lo, hi = y.support
+    if hi > s.domain_end - 1.0 + 1e-9:
         raise ValidationError("y must vanish outside [0, domain_end - 1]")
-    if abs(complex(y.values(np.asarray([max(lo_y, 0.0)]))[0])) > 1e-12:
+    lo = max(lo, 0.0)
+    if abs(complex(y.values(np.asarray([lo]))[0])) > 1e-12:
         raise ValidationError("y must vanish at the left end of its support")
     if offsets is None:
-        offsets = []
-        a = -0.5
-        while a <= hi_y + 1e-9:
-            if a + 1.0 > lo_y - 1e-9:
-                offsets.append(a)
-            a += 0.5
-    offsets = sorted(float(a) for a in offsets)
-    breaks = list(y.breakpoints) + [a + 0.5 * k for a in offsets for k in (0, 1)]
-
-    def window_form(fn, dfn, w_lo, w_hi):
-        w_lo, w_hi = max(w_lo, 0.0), min(w_hi, X)
-        if w_hi <= w_lo:
-            return 0j
-        return dirichlet_form_quadrature(s, fn, dfn, w_lo, w_hi, breaks)
-
-    lhs = window_form(y.values, y.deriv_values, max(lo_y, 0.0), min(hi_y, X))
-
-    rhs_sum = 0j
-    correction = 0.0
-    norm_sq = float(np.real(quadrature.integrate(
-        lambda x: np.abs(y.values(x)) ** 2, max(lo_y, 0.0), min(hi_y, X),
-        y.breakpoints)))
-
-    def phi(a):
-        return (lambda x: np.sin(np.pi * (np.asarray(x) - a)),
-                lambda x: np.pi * np.cos(np.pi * (np.asarray(x) - a)))
-
-    for i, a in enumerate(offsets):
-        pa, dpa = phi(a)
-        yk = lambda x, pa=pa: pa(x) ** 2 * y.values(x)
-        dyk = lambda x, pa=pa, dpa=dpa: (2.0 * pa(x) * dpa(x) * y.values(x)
-                                         + pa(x) ** 2 * y.deriv_values(x))
-        rhs_sum += window_form(yk, dyk, a, a + 1.0)
-        if i + 1 < len(offsets) and offsets[i + 1] - a < 1.0 - 1e-9:
-            b = offsets[i + 1]
-            pb, dpb = phi(b)
-            uk = lambda x, pa=pa, pb=pb: pa(x) * pb(x) * y.values(x)
-            duk = lambda x, pa=pa, pb=pb, dpa=dpa, dpb=dpb: (
-                (dpa(x) * pb(x) + pa(x) * dpb(x)) * y.values(x)
-                + pa(x) * pb(x) * y.deriv_values(x))
-            rhs_sum += 2.0 * window_form(uk, duk, b, a + 1.0)
-            w_lo, w_hi = max(b, 0.0), min(a + 1.0, X)
-            if w_hi > w_lo:
-                wronsk = lambda x, pa=pa, pb=pb, dpa=dpa, dpb=dpb: (
-                    (dpa(x) * pb(x) - pa(x) * dpb(x)) ** 2
-                    * np.abs(y.values(x)) ** 2)
-                correction += 2.0 * float(np.real(quadrature.integrate(
-                    wronsk, w_lo, w_hi, breaks)))
-
-    rhs = rhs_sum - correction
+        offsets = 0.5 * np.arange(-1, math.floor(2.0 * (hi + 1e-9)) + 1)
+        offsets = offsets[offsets + 1.0 > lo - 1e-9]
+    offsets = np.sort(np.asarray(offsets, dtype=float))
+    pairs = [(a, a, 1.0) for a in offsets] + [
+        (a, b, 2.0) for a, b in zip(offsets, offsets[1:]) if b - a < 1.0 - 1e-9]
+    a, b, weight = np.reshape(pairs, (-1, 3)).T
+    # window 0 is y's support, with w = y and no weight in the sum; then each
+    # [b, a + 1] with w = phi_a phi_b y; every window clipped to the support
+    table = np.column_stack([(lo, hi, 1.0, 0.0, 0.0, 0.0, 0.0), np.stack([
+        np.maximum(b, lo), np.minimum(a + 1.0, hi), 0.5 * np.cos(np.pi * (b - a)),
+        np.full(a.size, 0.5), a + b, weight, (np.pi * np.sin(np.pi * (b - a))) ** 2])])
+    starts, ends, alpha, beta, sigma, weight, wronsk2 = table[:, table[1] > table[0]]
+    mid = np.full(starts.size, 0.5 * (lo + hi))
+    cuts = np.unique(np.concatenate([s.breakpoints, y.breakpoints, offsets, offsets + 0.5]))
+    edges, first = quadrature.window_edges(starts, ends, cuts)
+    rows = functools.partial(_weighted_rows, y, mid[0], alpha, beta, sigma)
+    (kinetic, pot, norm), r = potential.centred_integrals(s, edges, first, mid, mid, rows)
+    w_lo, w_hi = (np.abs(_phase(alpha, beta, 2.0 * x - sigma)[0] * y.values(x)) ** 2
+                  for x in (starts, ends))
+    form = kinetic - pot - r * (w_hi - w_lo)
+    correction = float(weight @ (wronsk2 * norm))
+    lhs, rhs = complex(form[0]), complex(weight @ form) - correction
     residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     return PartitionReport(lhs=lhs, rhs=rhs, correction=correction,
-                           residual=residual, norm_sq=norm_sq)
+                           residual=residual, norm_sq=float(norm[0]))

@@ -322,7 +322,7 @@ def _horner_shift(c: np.ndarray, z: np.ndarray) -> tuple:
 
 
 def centred_integrals(s: Antiderivative, edges, first, refs, origins, rows) -> tuple:
-    """Integrals of ``rows(v, t, r)`` over the windows of one batch, and r.
+    """Integrals of ``rows(v, t, r, window)`` over the windows of a batch, and r.
 
     ``edges``/``first`` are the windows' segment runs as ``window_edges``
     gives them.  Window i's reference r_i is the polynomial part of s plus
@@ -334,9 +334,9 @@ def centred_integrals(s: Antiderivative, edges, first, refs, origins, rows) -> t
     cubic is then shifted to t = x - ``origins[i]`` (a shift by 0 is exact).
     v = s - r is evaluated once on the graded cells of every segment
     (``quadrature.graded_cells``), the reciprocal terms from pole-relative
-    abscissae, and ``rows`` maps v, t and r (a column per cell) to the
-    integrands, each integrated by ``quadrature.window_sums``.  Returns the
-    list of per-window integrals and r.
+    abscissae, and ``rows`` maps v, t, r and the window index (a column per
+    cell) to the integrands, each integrated by ``quadrature.window_sums``.
+    Returns the list of per-window integrals and r.
     """
     coef, amps, poles, nrecip = s._table
     inner = s._bp_arr[1:-1]
@@ -367,11 +367,11 @@ def centred_integrals(s: Antiderivative, edges, first, refs, origins, rows) -> t
                                                 + offset[cells])
     owner = window[seg]
     r = ref_poly + ref_jump
-    return quadrature.window_sums(rows(values, t, r[owner, None]), start, end, owner,
-                                  first.size), r
+    return quadrature.window_sums(rows(values, t, r[owner, None], owner[:, None]),
+                                  start, end, owner, first.size), r
 
 
-def _moment_rows(v, t, r):
+def _moment_rows(v, t, r, _window):
     return v, v.real ** 2 + v.imag ** 2
 
 

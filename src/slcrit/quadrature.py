@@ -14,8 +14,11 @@ third of its width from every pole, so rho >= 3 and 16 points err by about
 3^-32 ~ 5e-16 of M.  The cell cut (``graded_cells``) and the per-window sum
 (``window_sums``, each window's cells in a fixed order, so a window's
 integral is bitwise the same whatever windows share the call) exist once:
-``potential.centred_integrals`` takes them for the window moments and every
-FEM element, ``integrate_many`` for ``integrate``.  ``segment_moments`` (the
+``potential.centred_integrals`` takes them for the window moments, every
+FEM element and the partition identity, ``integrate_many`` for
+``integrate``.  No package code calls ``integrate_many`` or ``integrate``:
+they serve the tests, as the oracle of the centred pass, and the bench span
+that wraps ``integrate_many`` by name.  ``segment_moments`` (the
 integrator's panels) and ``fixed_nodes`` (the brute-force oracle) are
 order-8 rules of their own.
 """

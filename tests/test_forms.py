@@ -330,6 +330,18 @@ def test_partition_identity_overlap_cell_degeneration():
     assert rep.residual <= 1e-6
 
 
+def _dirichlet_form(s, fn, dfn, lo, hi, extra_breaks=()):
+    """l[y] = int |y'|^2 - int s (y conj(y))' dx for an explicit y on [lo, hi]
+    by ``quadrature.integrate`` on the absolute s: the oracle of the check's
+    centred pass."""
+    breaks = list(s.breakpoints) + list(extra_breaks)
+    kinetic = quadrature.integrate(lambda x: np.abs(dfn(x)) ** 2, lo, hi, breaks)
+    pot = quadrature.integrate(
+        lambda x: s.values(x) * 2.0 * np.real(dfn(x) * np.conj(fn(x))),
+        lo, hi, breaks, s.pole_slots)
+    return complex(kinetic - pot)
+
+
 def test_partition_identity_single_window_structure():
     # a lone window has no neighbours: no cross terms, zero correction, and
     # the window sum collapses to the single weighted form value
@@ -342,9 +354,52 @@ def test_partition_identity_single_window_structure():
     yk = lambda x: phi(x) ** 2 * y.values(x)
     dyk = lambda x: (2.0 * phi(x) * dphi(x) * y.values(x)
                      + phi(x) ** 2 * y.deriv_values(x))
-    lone = forms.dirichlet_form_quadrature(s, yk, dyk, 1.5, 2.5,
-                                           extra_breaks=y.breakpoints)
+    lone = _dirichlet_form(s, yk, dyk, 1.5, 2.5, extra_breaks=y.breakpoints)
     assert rep.rhs == pytest.approx(lone, rel=1e-9)
+
+
+def _partition_cases():
+    """Models with jumps, half of them plus 0.3 / (x + 1e-3), against
+    bumps and one y that does not vanish at its right support end."""
+    rng = np.random.default_rng(23)
+    pole = sl.Antiderivative(4.0, (0.0, 4.0), ((sl.RecipTerm(0.3, -1e-3),),))
+    # y = x - 1/2, then 2.2 x - 2.06: continuous at 1.3, and y(2.2) = 2.78
+    open_end = forms.PiecewisePoly((0.5, 1.3, 2.2), ((-0.5, 1.0), (-2.06, 2.2)))
+    for k in range(6):
+        s = sampling.random_antiderivative(rng, domain_end=4.0, pieces=4, jumps=2)
+        if k % 2:
+            s = sl.add(s, pole)
+        yield s, sampling.random_compact_bump(rng, 4.0)
+        yield s, open_end
+
+
+def test_partition_identity_lhs_matches_the_absolute_quadrature():
+    for s, y in _partition_cases():
+        rep = forms.partition_identity_check(s, y)
+        lo, hi = y.support
+        ref = _dirichlet_form(s, y.values, y.deriv_values, lo, hi, y.breakpoints)
+        assert abs(rep.lhs - ref) <= 1e-11 * max(abs(rep.lhs), 1.0)
+        assert rep.residual <= 1e-12
+
+
+def test_partition_identity_takes_one_centred_pass(monkeypatch):
+    calls = []
+    centred = potential.centred_integrals
+
+    def spy(*args):
+        calls.append(args)
+        return centred(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check left the centred pass")
+
+    monkeypatch.setattr(potential, "centred_integrals", spy)
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    monkeypatch.setattr(quadrature, "integrate_many", refuse)
+    monkeypatch.setattr(potential.Antiderivative, "values", refuse)
+    s, y = next(_partition_cases())
+    forms.partition_identity_check(s, y)
+    assert len(calls) == 1
 
 
 def test_assemble_validates_mesh_and_n():

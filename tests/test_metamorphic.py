@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import slcrit as sl
-from slcrit import criteria, forms, potential
+from slcrit import criteria, forms, potential, sampling
 
 PROFILE = settings(max_examples=30, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -182,3 +182,91 @@ def test_translation_adds_the_shift_to_herm_lambda_min():
     base = forms.herm_lambda_min(forms.assemble(s, sl.Interval(0.0, 1.0), 128))
     moved = forms.herm_lambda_min(forms.assemble(s, sl.Interval(3000.0, 3001.0), 128))
     assert moved == pytest.approx(3000.0 + base, rel=1e-11)
+
+
+def _partition(s, seed):
+    """The partition identity on s for a bump drawn from ``seed``."""
+    y = sampling.random_compact_bump(np.random.default_rng(seed), s.domain_end)
+    rep = forms.partition_identity_check(s, y)
+    return rep, y
+
+
+@settings(PROFILE, max_examples=8)
+@given(doc=documents(max_pieces=1), c=st.sampled_from([1.0, 1e4, 1e8]),
+       seed=st.integers(0, 2 ** 16))
+def test_offset_leaves_one_piece_partition_forms_bitwise(doc, c, seed):
+    # one piece: v = s - r is the cubic Taylor-shifted to one reference point,
+    # whose constant term r is taken off exactly, so every cell's v keeps its
+    # bits; the absolute s moved lhs and rhs by up to 1.9e-6 relative
+    s = potential.from_dict(doc)
+    rep, _y = _partition(s, seed)
+    rep1, _y = _partition(potential.offset(s, c), seed)
+    assert ((rep1.lhs, rep1.rhs, rep1.correction, rep1.norm_sq)
+            == (rep.lhs, rep.rhs, rep.correction, rep.norm_sq))
+
+
+@settings(PROFILE, max_examples=8)
+@given(doc=documents(), c=OFFSETS, seed=st.integers(0, 2 ** 16))
+def test_offset_moves_partition_forms_by_model_rounding_only(doc, c, seed):
+    # several pieces: v moves by at most the module's delta, so a window form
+    # moves by at most delta int |(|w|^2)'|.  With w = p y, sum weight p^2 = 1
+    # and |(p^2)'| <= 2 pi, and the weights over any point add up to at most 4,
+    # so lhs and rhs move by at most delta (int |(|y|^2)'| + 8 pi ||y||^2),
+    # where int |(|y|^2)'| <= 2 ||y|| ||y'|| and ||y'||^2 is the form at s = 0
+    s = potential.from_dict(doc)
+    rep, y = _partition(s, seed)
+    rep1, _y = _partition(potential.offset(s, c), seed)
+    kinetic = forms.partition_identity_check(potential.zero(s.domain_end), y).lhs.real
+    delta = 4.0 * EPS * (abs(c) + _coefficient_scale(s))
+    bound = (delta * (2.0 * math.sqrt(rep.norm_sq * kinetic) + 8.0 * math.pi * rep.norm_sq)
+             + 64.0 * EPS * max(abs(rep.lhs), 1.0))
+    assert abs(rep1.lhs - rep.lhs) <= bound, (abs(rep1.lhs - rep.lhs), bound)
+    assert abs(rep1.rhs - rep.rhs) <= bound, (abs(rep1.rhs - rep.rhs), bound)
+    assert (rep1.correction, rep1.norm_sq) == (rep.correction, rep.norm_sq)
+
+
+POWERS_OF_TWO = [0.25, 2.0, 1024.0]
+
+
+@settings(PROFILE, max_examples=12)
+@given(doc=documents(), a=st.floats(0.25, 2.0))
+def test_power_of_two_scaling_scales_deviation_and_dbl_bitwise(doc, a):
+    # t = 2^k scales every coefficient, amplitude and jump exactly, and every
+    # step of the centred pass commutes with it: dev and dbl gain t^2 exactly
+    s = potential.from_dict(doc)
+    dev, dbl = _deviations(s, a)
+    for t in POWERS_OF_TWO:
+        dev1, dbl1 = _deviations(potential.scale(s, t), a)
+        assert np.array_equal(dev1, t * t * dev)
+        assert np.array_equal(dbl1, t * t * dbl)
+
+
+@settings(PROFILE, max_examples=10)
+@given(doc=documents(recips=False), a=st.floats(0.25, 2.0))
+def test_scaling_scales_deviation_to_rounding(doc, a):
+    # t = 3.7 rounds each coefficient and jump by eps/2 of itself; on cubic
+    # pieces that moves dev by a few eps of it (2.4e-15 worst in 300 drawn
+    # documents).  A reciprocal term's rounded amplitude moves v by eps/2 of
+    # the term, which near a pole dwarfs the window's deviation (1.6e-14 of
+    # it drawn), so reciprocal terms are left to the power-of-two relations
+    t = 3.7
+    s = potential.from_dict(doc)
+    dev, _dbl = _deviations(s, a)
+    dev1, _dbl = _deviations(potential.scale(s, t), a)
+    assert np.all(np.abs(dev1 - t * t * dev) <= 1e-14 * t * t * np.maximum(dev, 1.0))
+
+
+def _fits(s):
+    return criteria.brinck(s)[0], criteria.sector_fit(s)
+
+
+@settings(PROFILE, max_examples=6)
+@given(doc=documents(max_pieces=3), t=st.sampled_from(POWERS_OF_TWO))
+def test_power_of_two_scaling_keeps_the_sectors(doc, t):
+    # arg(t z) = arg(z) for t > 0: the angles keep their bits, and the
+    # difference sector's vertex, a point of the scaled cloud, scales by t
+    s = potential.from_dict(doc)
+    for sec, sec1 in zip(_fits(s), _fits(potential.scale(s, t))):
+        assert (sec is None) == (sec1 is None)
+        if sec is not None:
+            assert (sec1.alpha, sec1.beta, sec1.vertex) == (sec.alpha, sec.beta, t * sec.vertex)
