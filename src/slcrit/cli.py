@@ -234,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--a": dict(type=float, default=1.0, help="window length"),
         "--d": dict(type=float, default=1.0, help="sector-search depth"),
         "--mesh": dict(type=int, default=128, help="FEM mesh resolution"),
-        "--angles": dict(type=int, default=64, help="range-boundary rotations"),
+        "--angles": dict(type=int, default=64,
+                         help="range-boundary rotations over the full circle; complex "
+                              "windows sweep those with cos >= 0 and any other a bound "
+                              "cannot rule out"),
         "--xmax": dict(type=float, default=None, help="domain override"),
         "--out": dict(default=None, help="output path"),
         "--format": dict(choices=["json", "csv"], default="json"),

@@ -22,10 +22,12 @@ Certified bounds on inf |l_I[y]| over the discrete unit sphere come from
 rotated Hermitian eigenproblems: |q| >= Re(e^{-i theta} q) makes every
 rotation's smallest eigenvalue a lower bound, while each eigenvector is an
 attained Rayleigh value and hence an upper-bound witness.  One batched kernel
-sweeps windows x rotations (a real form only at 0 and pi, the ends of its
-interval range): Laguerre steps driven by the twisted LDL^T pivot recurrence
-(both ends towards the middle row), Sturm-count multisection for the
-stragglers, and inverse iteration for the eigenvectors.  Each lower end is
+sweeps windows x rotations: a complex form on the closed right half-plane of
+rotations and wherever a closed-form Rayleigh bound cannot rule a rotation
+out, a real form only at 0 and pi, the ends of its interval range.  It runs
+Laguerre steps driven by the twisted LDL^T pivot recurrence (both ends
+towards the middle row), Sturm-count multisection for the stragglers, and
+inverse iteration for the eigenvectors.  Each lower end is
 the largest shift with a positive definite factorization, backed off by the
 recurrence's backward error, so every reported bound is certified for the
 discrete pencil up to that error.  Discretization restricts to a subspace,
@@ -530,18 +532,19 @@ def _quad(diag, off, v):
     return (v * _apply(diag, off, v)).sum(0)
 
 
-def _rotation_sweep(windows, thetas, vectors=False):
-    """Certified lambda_min and attained boundary sample per window and rotation
-    (with ``vectors``, also their eigenvectors in natural order).
+def _sweep_columns(windows, win, thetas, vectors=False):
+    """Certified lambda_min and attained boundary sample of window win[k] at
+    rotation thetas[k], one per column k (with ``vectors``, also their
+    eigenvectors in natural order, one row per column).
 
     The windows are padded to one odd dimension with decoupled copies of
     their last row, whose eigenvalue is a Rayleigh quotient and so not below
-    lambda_min, put in the twisted layout, and the kernel runs over columns
-    window x rotation, one chunk of at most ``_CHUNK_ELEMENTS`` array
-    elements (or ``_CHUNK_COLUMNS`` columns) at a time.
+    lambda_min, put in the twisted layout, and the kernel runs over the
+    columns, one chunk of at most ``_CHUNK_ELEMENTS`` array elements (or
+    ``_CHUNK_COLUMNS`` columns) at a time.
     """
     dims = np.asarray([w.dim for w in windows])
-    N, W, R = int(dims.max()) | 1, len(windows), thetas.size
+    N, W, K = int(dims.max()) | 1, len(windows), win.size
     bd, bo = np.zeros((2, N, W), dtype=complex)
     md, mo = np.zeros((2, N, W))
     for k, w in enumerate(windows):
@@ -555,36 +558,95 @@ def _rotation_sweep(windows, thetas, vectors=False):
              md[order], mo[couple])
     del bd, bo, md, mo
     cos, sin = np.cos(thetas), np.sin(thetas)
-    lows = np.empty(W * R)
-    samples = np.empty(W * R, dtype=complex)
-    vecs = np.empty((N, W * R)) if vectors else None
-    chunks = -(-W * R // max(_CHUNK_COLUMNS, _CHUNK_ELEMENTS // N))
-    for cols in np.array_split(np.arange(W * R), chunks):
-        win, rot = np.divmod(cols, R)
-        c, s = cos[rot], sin[rot]
-        h = parts[0].take(win, 1) * c
-        h += parts[2].take(win, 1) * s
-        ho = parts[1].take(win, 1) * c
-        ho += parts[3].take(win, 1) * s
-        lows[cols], vec = _pencil_floor(h, ho, parts[4].take(win, 1),
-                                        parts[5].take(win, 1), dims[win])
+    lows = np.empty(K)
+    samples = np.empty(K, dtype=complex)
+    vecs = np.empty((N, K)) if vectors else None
+    chunks = -(-K // max(_CHUNK_COLUMNS, _CHUNK_ELEMENTS // N))
+    for cols in np.array_split(np.arange(K), chunks):
+        at, c, s = win[cols], cos[cols], sin[cols]
+        h = parts[0].take(at, 1) * c
+        h += parts[2].take(at, 1) * s
+        ho = parts[1].take(at, 1) * c
+        ho += parts[3].take(at, 1) * s
+        lows[cols], vec = _pencil_floor(h, ho, parts[4].take(at, 1),
+                                        parts[5].take(at, 1), dims[at])
         if vectors:
             vecs[np.ix_(order, cols)] = vec
         del h, ho
-        re, im, mass = (_quad(parts[i].take(win, 1), parts[i + 1].take(win, 1), vec)
+        re, im, mass = (_quad(parts[i].take(at, 1), parts[i + 1].take(at, 1), vec)
                         for i in (0, 2, 4))
         samples[cols] = (re + 1j * im) / mass
     if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(samples))):
         raise NumericError("rotation sweep produced non-finite values")
-    out = lows.reshape(W, R), samples.reshape(W, R)
-    return out + (vecs.T.reshape(W, R, N),) if vectors else out
+    return (lows, samples, vecs.T) if vectors else (lows, samples)
+
+
+def _rotation_sweep(windows, thetas, vectors=False):
+    """``_sweep_columns`` of every window at every rotation, window by window:
+    arrays of shape (windows, rotations), and (windows, rotations, rows)."""
+    W, R = len(windows), thetas.size
+    out = _sweep_columns(windows, np.repeat(np.arange(W), R), np.tile(thetas, W), vectors)
+    return tuple(a.reshape(W, R, *a.shape[1:]) for a in out)
+
+
+def _alternating_quotient(w: WindowForm) -> tuple[complex, float]:
+    """z = v^T B v / v^T M v at v_i = (-1)^i, from the band sums, and a bound
+    on its rounding error and on the distance from Re(e^{-i theta} z) to the
+    alternating quotient of the rotated pencil that the kernel is handed.
+
+    For every theta, Re(e^{-i theta} z) is a Rayleigh quotient of the rotated
+    Hermitian part and so bounds its lambda_min from above.
+    """
+    (bd, bo), (md, mo) = w.B_bands, w.M_bands
+    den = md.sum() - 2.0 * mo.sum()
+    z = complex(bd.sum() - 2.0 * bo.sum()) / den
+    size = np.abs(bd).sum() + 2.0 * np.abs(bo).sum() + abs(z) * (md.sum() + 2.0 * mo.sum())
+    return z, float(4.0 * (w.dim + 4) * _EPS * size / den)
+
+
+def _half_plane(angles: int) -> np.ndarray:
+    """Which of the ``_rotations(angles)`` lie on the closed right half-plane
+    |theta| <= pi/2: k with 4k <= angles or 4k >= 3 angles.  Chosen by index,
+    since a rounded cosine of a quarter turn can be negative (-1.6e-16 for
+    25 of 100); the set is symmetric under theta -> -theta."""
+    k = np.arange(angles)
+    return (4 * k <= angles) | (4 * k >= 3 * angles)
+
+
+def _half_plane_sweep(windows, thetas) -> list:
+    """Each window's swept rotations, certified lambda_mins and samples.
+
+    One batched sweep takes every window on the closed right half-plane.  On
+    cos(theta) < 0 the rotated Hermitian part is -|cos theta| times the
+    stiffness plus a bounded term, so its lambda_min sits near minus the
+    mesh's largest eigenvalue.  Such a rotation is skipped only when its
+    alternating quotient (``_alternating_quotient``), an upper bound on its
+    lambda_min, lies with its rounding below the window's best bound of the
+    first pass, so it could not raise the largest lower bound (theta = 0,
+    herm_lambda_min, is always swept).  The rotations not ruled out, or
+    whose bound is not finite, are swept in one more batched call.
+    """
+    half = _half_plane(thetas.size)
+    swept = np.tile(half, (len(windows), 1))
+    lows = np.empty(swept.shape)
+    samples = np.empty(swept.shape, dtype=complex)
+    lows[swept], samples[swept] = (a.ravel() for a in _rotation_sweep(windows, thetas[half]))
+    z, slack = map(np.asarray, zip(*map(_alternating_quotient, windows)))
+    bound = z.real[:, None] * np.cos(thetas) + z.imag[:, None] * np.sin(thetas)
+    best = lows.max(1, where=swept, initial=-np.inf)
+    more = ~swept & ~(bound + slack[:, None] < best[:, None])
+    if more.any():
+        win, rot = np.nonzero(more)
+        lows[more], samples[more] = _sweep_columns(windows, win, thetas[rot])
+        swept |= more
+    return [(thetas[m], low[m], zs[m]) for m, low, zs in zip(swept, lows, samples)]
 
 
 @dataclass(frozen=True)
 class RangeEstimate:
     """Numerical-range boundary samples and certified inf-modulus bounds."""
 
-    boundary: np.ndarray             # attained Rayleigh values, one per rotation
+    boundary: np.ndarray             # attained Rayleigh values, one per swept rotation
     sector: Sector | None
     inf_modulus_lower: float
     inf_modulus_upper: float
@@ -599,9 +661,13 @@ def _is_real(w: WindowForm) -> bool:
 
 
 def _rotations(angles: int) -> np.ndarray:
+    """The rotations 2 pi k / angles, k < angles, as angles in (-pi, pi]: the
+    rotations k and angles - k get equal cosines and opposite sines, bit for
+    bit, so conjugating B mirrors every rotated pencil exactly."""
     if angles < 16:
         raise ValidationError("rotation count must be >= 16")
-    return np.arange(angles) * (2.0 * math.pi / angles)
+    k = np.arange(angles)
+    return np.where(2 * k <= angles, k, k - angles) * (2.0 * math.pi / angles)
 
 
 #: the rotations whose bounds end a real form's range: lambda_lo, -lambda_hi
@@ -612,11 +678,12 @@ def _real_ranges(windows, thetas: np.ndarray) -> list:
     """Real forms' ranges, the intervals [lambda_lo, lambda_hi] of their pencils.
 
     One sweep at 0 and pi certifies both ends; each eigenvector attains its
-    Rayleigh value; rotation theta takes cos(theta) times the nearer end.  A
-    range over 0 attains it at a real zero of the 2x2 form on the two vectors.
+    Rayleigh value; rotation theta takes cos(theta) times the nearer end, the
+    lower one on the closed right half-plane (``_half_plane``).  A range over
+    0 attains it at a real zero of the 2x2 form on the two vectors.
     """
     lows, samples, vecs = _rotation_sweep(windows, _REAL_THETAS, vectors=True)
-    right = np.cos(thetas) >= 0.0
+    right = _half_plane(thetas.size)
     ests = []
     for w, (lo, hi), z, (v0, v1) in zip(windows, lows, samples, vecs):
         upper = float(np.abs(z).min())
@@ -645,15 +712,19 @@ def range_boundary(w: WindowForm, angles: int = 64) -> RangeEstimate:
     against M bounds Re(e^{-i theta} q) from below over the range, and its
     eigenvector attains a boundary point.  The assembled B is complex
     symmetric, so Herm(e^{-i theta} B) = cos(theta) Re B + sin(theta) Im B.
-    The fitted sector is the minimal one over the attained samples (vertex
-    translated to a support point); None when the samples span >= pi.  A
-    real form's range is an interval, swept at 0 and pi (``_real_ranges``).
+    ``angles`` counts rotations over the full circle.  A complex form sweeps
+    those on the closed right half-plane |theta| <= pi/2 and any other that
+    its alternating quotient does not rule out (``_half_plane_sweep``), so
+    ``rotations``, ``lambda_mins`` and ``boundary`` hold the swept rotations
+    only.  The fitted sector is the minimal one over the attained samples
+    (vertex translated to a support point); None when the samples span
+    >= pi.  A real form's range is an interval, swept at 0 and pi
+    (``_real_ranges``), and reported at every rotation.
     """
     thetas = _rotations(angles)
     if _is_real(w):
         return _real_ranges([w], thetas)[0]
-    lows, samples = _rotation_sweep([w], thetas)
-    return _swept_range(thetas, lows[0], samples[0])
+    return _swept_range(*_half_plane_sweep([w], thetas)[0])
 
 
 def inf_modulus(w: WindowForm, angles: int = 64) -> tuple[float, float]:
@@ -725,8 +796,11 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
     Each window is a slice of a span assembly (``_spans``), bitwise its own
     ``assemble``, except a window with an end that a breakpoint within the
     grid floor displaced in the span: it is assembled alone.  A span's real
-    windows are swept at once, all complex ones at the end.  The result
-    flags monotone lower bounds.
+    windows are swept at once.  All complex ones are swept at the end, on the
+    closed right half-plane of rotations in one batched call, and at the
+    other rotations that their alternating quotients do not rule out in at
+    most one more (``_half_plane_sweep``).  The result flags monotone lower
+    bounds.
     """
     if s.domain_end < 2.0:
         raise ValidationError("scan needs domain_end >= 2 for a full window pair")
@@ -743,8 +817,8 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
         swept.update((k, w) for k, w in group.items() if k not in ests)
     if swept:
         order = sorted(swept)
-        lows, samples = _rotation_sweep([swept[k] for k in order], thetas)
-        ests.update((k, _swept_range(thetas, low, z)) for k, low, z in zip(order, lows, samples))
+        ests.update(zip(order, (_swept_range(*sweep) for sweep in
+                                _half_plane_sweep([swept[k] for k in order], thetas))))
     rows = [ScanRow(wins[k], est.sector, float(est.lambda_mins[0]), est.inf_modulus_lower,
                     est.inf_modulus_upper, est.boundary) for k, est in sorted(ests.items())]
     lowers = np.asarray([r.inf_lower for r in rows])

@@ -486,9 +486,10 @@ def _exactly_definite(h, ho, m, mo, x):
     return min(top + bottom) > 0 and det > 0
 
 
-def _certified_exactly(windows, thetas):
-    """Sweep the windows and check every returned bound on the very pencil
-    the kernel was handed, converted exactly to rationals."""
+def _certified_exactly(sweep, *args):
+    """Run ``sweep(*args)`` and check every bound the kernel returned on the
+    very pencil it was handed, converted exactly to rationals; returns the
+    sweep's result and the column count of each kernel call."""
     handed = []
     kernel = forms._pencil_floor
 
@@ -500,7 +501,7 @@ def _certified_exactly(windows, thetas):
 
     forms._pencil_floor = capture
     try:
-        lows, samples = forms._rotation_sweep(windows, thetas)
+        result = sweep(*args)
     finally:
         forms._pencil_floor = kernel
     for (h, ho, m, mo), lower in handed:
@@ -510,7 +511,7 @@ def _certified_exactly(windows, thetas):
         nat[1][couple[:-1]], nat[3][couple[:-1]] = ho[:-1], mo[:-1]
         for k, x in enumerate(lower):
             assert _exactly_definite(*(a[:, k] for a in nat), x)
-    return lows, samples
+    return result, [lower.size for _arrays, lower in handed]
 
 
 def test_exact_oracle_agrees_with_rational_pivots():
@@ -536,7 +537,7 @@ def test_exact_oracle_agrees_with_rational_pivots():
 
 def _check_sweep(windows, angles=16):
     thetas = np.arange(angles) * (2.0 * math.pi / angles)
-    lows, samples = _certified_exactly(windows, thetas)
+    (lows, samples), _columns = _certified_exactly(forms._rotation_sweep, windows, thetas)
     eps = np.finfo(float).eps
     for w, low, zs in zip(windows, lows, samples):
         for theta, lam, z in zip(thetas, low, zs):
@@ -707,7 +708,8 @@ def test_real_windows_certified_at_both_ends_of_the_range():
                                   sl.Interval(0.0, 1.0), 64))
     windows += _near_node_windows(np.random.default_rng(8), 6)
     assert all(forms._is_real(w) for w in windows)
-    lows, _samples = _certified_exactly(windows, forms._REAL_THETAS)
+    (lows, _samples), _columns = _certified_exactly(forms._rotation_sweep, windows,
+                                                    forms._REAL_THETAS)
     ref = _sturm_lambda_min(windows, forms._REAL_THETAS)
     scale = np.maximum(np.abs(ref), 1.0)
     assert np.all(lows <= ref + 64 * np.finfo(float).eps * scale)
@@ -719,6 +721,87 @@ def test_real_windows_certified_at_both_ends_of_the_range():
         assert (est.lambda_mins[0], est.lambda_mins[8]) == (lo, hi)
         assert est.sector == sectors.Sector(lo, 0.0, 0.0)
         assert est.inf_modulus_lower == max(0.0, lo, hi) <= est.inf_modulus_upper
+
+
+def _slope_window(n):
+    """[0, 1] of s = (-1e4 + i) x: the form is the Laplacian's less 1e4, plus
+    i ||y||^2."""
+    return forms.assemble(sl.from_poly((0.0, -1e4 + 1j), 1.0), sl.Interval(0.0, 1.0), n)
+
+
+def test_half_plane_is_chosen_by_index():
+    # a sign test on the rounded cosine would drop quarter turns: cos(3 pi / 2)
+    # rounds to -1.8e-16, and the cosine of 25 of 100 rotations to -1.6e-16
+    keep = forms._half_plane(64)
+    assert keep.sum() == 33 and keep[[0, 16, 48]].all() and not keep[[17, 47]].any()
+    assert math.cos(48 * (2.0 * math.pi / 64)) < 0.0
+    assert math.cos(forms._rotations(100)[25]) < 0.0 and forms._half_plane(100)[25]
+    for angles in (16, 17, 18, 19, 64, 100):
+        keep = forms._half_plane(angles)
+        mirror = -np.arange(angles) % angles
+        assert np.array_equal(keep, keep[mirror])
+        # rotations k and angles - k are theta and -theta bit for bit (pi,
+        # its own mirror, stays pi)
+        thetas, k = forms._rotations(angles), np.arange(1, (angles + 1) // 2)
+        assert np.array_equal(thetas[angles - k], -thetas[k])
+
+
+def test_half_plane_sweep_falls_back_to_rotations_it_cannot_rule_out():
+    # at mesh 16 the discrete Laplacian tops out near 7e3, so the range lies
+    # left of 0 and the best rotation is pi; every alternating bound on
+    # cos < 0 lies above the half-plane's best (1, at pi / 2), so the other
+    # 31 rotations are swept in a second call.  The bounds are the full
+    # circle's, and every pencil handed to the kernel is certified exactly
+    thetas = forms._rotations(64)
+    w = _slope_window(16)
+    est, columns = _certified_exactly(forms.range_boundary, w, 64)
+    assert columns == [33, 31]
+    lows, samples = forms._rotation_sweep([w], thetas)
+    assert np.argmax(lows[0]) == 32
+    assert np.array_equal(est.rotations, thetas)
+    assert np.allclose(est.lambda_mins, lows[0], rtol=1e-12, atol=1e-12)
+    assert est.inf_modulus_lower == pytest.approx(lows.max(), rel=1e-12)
+    assert est.inf_modulus_upper == pytest.approx(np.abs(samples).min(), rel=1e-12)
+    # at mesh 32 the spectrum reaches past 1e4 and the alternating quotient
+    # (1712 + i) lies right of 0: on cos < 0 its rotated value is negative,
+    # so the half-plane alone is swept, with the full circle's lower bound.
+    # The upper bound is the least modulus the swept samples attain
+    w = _slope_window(32)
+    est, columns = _certified_exactly(forms.range_boundary, w, 64)
+    assert columns == [33]
+    assert np.array_equal(est.rotations, thetas[forms._half_plane(64)])
+    lows, _samples = forms._rotation_sweep([w], thetas)
+    assert est.inf_modulus_lower == pytest.approx(lows.max(), rel=1e-12)
+    assert est.inf_modulus_upper == pytest.approx(np.abs(est.boundary).min(), rel=1e-15)
+
+
+def test_alternating_quotient_matches_the_dense_rayleigh_quotient(corpus):
+    # z from the band sums agrees with v^T B v / v^T M v of the dense
+    # matrices, v_i = (-1)^i, within its stated rounding bound, and its
+    # rotated value bounds every certified lambda_min from above
+    thetas = forms._rotations(16)
+    for name, s in corpus:
+        X = s.domain_end
+        for a in {0.0, 0.5 * math.floor(X - 1.0)}:
+            w = forms.assemble(s, sl.Interval(a, min(a + 1.0, X)), 48)
+            v = (-1.0) ** np.arange(w.dim)
+            want = (v @ w.B @ v) / (v @ w.M @ v)
+            z, slack = forms._alternating_quotient(w)
+            assert abs(z - want) <= slack <= 1e-11 * abs(z), (name, a)
+            lows, _samples = forms._rotation_sweep([w], thetas)
+            assert np.all(lows[0] <= (np.exp(-1j * thetas) * z).real + slack), (name, a)
+
+
+def test_complex_scan_hands_the_kernel_33_of_64_rotations():
+    # every window of s = 0.3 + i x + (0.2 + 0.1 i) x^2 is complex, and no
+    # rotation with cos < 0 survives its alternating bound: each window costs
+    # the kernel 33 columns for 64 rotations (64 columns before the
+    # half-plane), all in one call, each certified exactly
+    s = sl.from_poly((0.3, 1j, 0.2 + 0.1j), 4.0)
+    scan, columns = _certified_exactly(forms.localization_scan, s, 32, 64)
+    assert len(scan.rows) == 7
+    assert columns == [33 * 7]
+    assert all(r.boundary.size == 33 for r in scan.rows)
 
 
 def _scanned_forms(s, n, monkeypatch):
