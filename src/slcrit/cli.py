@@ -78,8 +78,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     s = _load_potential(args)
-    if s.domain_end < 2.0:
-        raise ValidationError("scan needs domain_end >= 2 (no complete window pair)")
     result = forms.localization_scan(s, n=args.mesh, angles=args.angles)
     out = args.out or "scan.csv"
     forms.scan_to_csv(result, out)
@@ -155,6 +153,8 @@ def cmd_generate(args) -> int:
         s = potential.build_counterexample("s1", blocks=args.blocks,
                                            domain_end=args.xmax)
     elif args.kind == "s2":
+        if not 0.0 < args.theta < 1.0:
+            raise ValidationError("s2 needs theta in (0, 1)")
         schedule, provenance, one_plus_eps = _orchestrate_s2(
             args.theta, args.blocks, args.h0, args.mesh)
         X = args.xmax
@@ -236,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mesh": dict(type=int, default=128, help="FEM mesh resolution"),
         "--angles": dict(type=int, default=64,
                          help="range-boundary rotations over the full circle; complex "
-                              "windows sweep those with cos >= 0 and any other a bound "
-                              "cannot rule out"),
+                              "windows sweep those with |theta| <= pi/2 and any other a "
+                              "bound cannot rule out"),
         "--xmax": dict(type=float, default=None, help="domain override"),
         "--out": dict(default=None, help="output path"),
         "--format": dict(choices=["json", "csv"], default="json"),

@@ -27,12 +27,12 @@ rotations and wherever a closed-form Rayleigh bound cannot rule a rotation
 out, a real form only at 0 and pi, the ends of its interval range.  It runs
 Laguerre steps driven by the twisted LDL^T pivot recurrence (both ends
 towards the middle row), Sturm-count multisection for the stragglers, and
-inverse iteration for the eigenvectors.  Each lower end is
-the largest shift with a positive definite factorization, backed off by the
-recurrence's backward error, so every reported bound is certified for the
-discrete pencil up to that error.  Discretization restricts to a subspace,
-so the continuum infimum can only be smaller than the discrete one.  A scan
-slices its windows' bands out of span assemblies on one mesh lattice.
+inverse iteration for the eigenvectors.  Each lower end is the largest
+shift with a positive definite factorization, backed off by the recurrence's
+backward error, so every reported bound is certified for the discrete pencil
+up to that error.  Discretization restricts to a subspace, so the continuum
+infimum can only be smaller than the discrete one.  A scan slices its
+windows' bands out of span assemblies and sweeps them span by span.
 """
 
 from __future__ import annotations
@@ -614,17 +614,17 @@ def _half_plane(angles: int) -> np.ndarray:
 
 
 def _half_plane_sweep(windows, thetas) -> list:
-    """Each window's swept rotations, certified lambda_mins and samples.
+    """Each window's range estimate from its swept rotations (``_swept_range``).
 
-    One batched sweep takes every window on the closed right half-plane.  On
-    cos(theta) < 0 the rotated Hermitian part is -|cos theta| times the
-    stiffness plus a bounded term, so its lambda_min sits near minus the
-    mesh's largest eigenvalue.  Such a rotation is skipped only when its
-    alternating quotient (``_alternating_quotient``), an upper bound on its
-    lambda_min, lies with its rounding below the window's best bound of the
-    first pass, so it could not raise the largest lower bound (theta = 0,
-    herm_lambda_min, is always swept).  The rotations not ruled out, or
-    whose bound is not finite, are swept in one more batched call.
+    One batched sweep takes the group (a scan's span, ``_ranges``) on the
+    closed right half-plane.  On cos(theta) < 0 the rotated Hermitian part
+    is -|cos theta| times the stiffness plus a bounded term, so its
+    lambda_min sits near minus the mesh's largest eigenvalue.  Such a
+    rotation is skipped only when its alternating quotient, an upper bound
+    on its lambda_min, lies with its rounding below the window's best bound
+    of the first pass, so it could not raise the largest lower bound
+    (theta = 0, herm_lambda_min, is always swept).  The rotations not ruled
+    out, or whose bound is not finite, are swept in one more batched call.
     """
     half = _half_plane(thetas.size)
     swept = np.tile(half, (len(windows), 1))
@@ -639,7 +639,7 @@ def _half_plane_sweep(windows, thetas) -> list:
         win, rot = np.nonzero(more)
         lows[more], samples[more] = _sweep_columns(windows, win, thetas[rot])
         swept |= more
-    return [(thetas[m], low[m], zs[m]) for m, low, zs in zip(swept, lows, samples)]
+    return [_swept_range(thetas[m], low[m], zs[m]) for m, low, zs in zip(swept, lows, samples)]
 
 
 @dataclass(frozen=True)
@@ -705,6 +705,17 @@ def _swept_range(thetas, lows, samples) -> RangeEstimate:
                          float(np.abs(samples).min()), thetas, lows)
 
 
+def _ranges(windows, thetas) -> list:
+    """Range estimates of a group of forms, in input order: the real ones
+    from one ``_real_ranges`` call, the rest from one ``_half_plane_sweep``."""
+    real = {w: _is_real(w) for w in windows}
+    ests = {}
+    for flag, ranges in ((True, _real_ranges), (False, _half_plane_sweep)):
+        part = [w for w in windows if real[w] == flag]
+        ests.update(zip(part, ranges(part, thetas) if part else ()))
+    return [ests[w] for w in windows]
+
+
 def range_boundary(w: WindowForm, angles: int = 64) -> RangeEstimate:
     """Boundary sweep of the pencil (B, M) via rotated Hermitian eigenproblems.
 
@@ -719,12 +730,10 @@ def range_boundary(w: WindowForm, angles: int = 64) -> RangeEstimate:
     only.  The fitted sector is the minimal one over the attained samples
     (vertex translated to a support point); None when the samples span
     >= pi.  A real form's range is an interval, swept at 0 and pi
-    (``_real_ranges``), and reported at every rotation.
+    (``_real_ranges``), and reported at every rotation.  ``_ranges`` sweeps
+    the form as a group of one.
     """
-    thetas = _rotations(angles)
-    if _is_real(w):
-        return _real_ranges([w], thetas)[0]
-    return _swept_range(*_half_plane_sweep([w], thetas)[0])
+    return _ranges([w], _rotations(angles))[0]
 
 
 def inf_modulus(w: WindowForm, angles: int = 64) -> tuple[float, float]:
@@ -743,7 +752,6 @@ class ScanRow:
     herm_lambda_min: float
     inf_lower: float
     inf_upper: float
-    boundary: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -795,12 +803,10 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
 
     Each window is a slice of a span assembly (``_spans``), bitwise its own
     ``assemble``, except a window with an end that a breakpoint within the
-    grid floor displaced in the span: it is assembled alone.  A span's real
-    windows are swept at once.  All complex ones are swept at the end, on the
-    closed right half-plane of rotations in one batched call, and at the
-    other rotations that their alternating quotients do not rule out in at
-    most one more (``_half_plane_sweep``).  The result flags monotone lower
-    bounds.
+    grid floor displaced in the span: it is assembled alone.  Each span's
+    windows are swept as one ``_ranges`` group as soon as the span is
+    sliced, and only its rows are kept, so the memory of a scan does not
+    grow with its windows' forms.  The result flags monotone lower bounds.
     """
     if s.domain_end < 2.0:
         raise ValidationError("scan needs domain_end >= 2 for a full window pair")
@@ -808,19 +814,13 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
     if n < 8:
         raise ValidationError("mesh resolution n must be >= 8")
     wins = scan_windows(s.domain_end)
-    ests, swept = {}, {}
+    rows = [None] * len(wins)
     for interval, run in _spans(s, wins, n):
         whole = assemble(s, interval, round(n * interval.length))
-        group = {k: _window_of(whole, wins[k]) or assemble(s, wins[k], n) for k in run}
-        real = [k for k in run if _is_real(group[k])]
-        ests.update(zip(real, _real_ranges([group[k] for k in real], thetas) if real else []))
-        swept.update((k, w) for k, w in group.items() if k not in ests)
-    if swept:
-        order = sorted(swept)
-        ests.update(zip(order, (_swept_range(*sweep) for sweep in
-                                _half_plane_sweep([swept[k] for k in order], thetas))))
-    rows = [ScanRow(wins[k], est.sector, float(est.lambda_mins[0]), est.inf_modulus_lower,
-                    est.inf_modulus_upper, est.boundary) for k, est in sorted(ests.items())]
+        group = [_window_of(whole, wins[k]) or assemble(s, wins[k], n) for k in run]
+        for k, est in zip(run, _ranges(group, thetas)):
+            rows[k] = ScanRow(wins[k], est.sector, float(est.lambda_mins[0]),
+                              est.inf_modulus_lower, est.inf_modulus_upper)
     lowers = np.asarray([r.inf_lower for r in rows])
     tol = 1e-6 * max(1.0, float(np.max(np.abs(lowers))))
     monotone = bool(np.all(np.diff(lowers) >= -tol))

@@ -157,6 +157,24 @@ def test_generate_s2_with_provenance(tmp_path):
     assert s.domain_end >= blocks[-1]["N"] + 2
 
 
+@pytest.mark.parametrize("theta", ["0", "1", "1.5", "nan"])
+def test_generate_s2_rejects_theta_before_the_schedule_search(tmp_path, monkeypatch,
+                                                               capsys, theta):
+    # the schedule search scales by (1 - theta)^(1/3) and divides by it, so
+    # theta is checked before anything is assembled, with the model's message
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be assembled for a theta outside (0, 1)")
+
+    with pytest.raises(sl.ValidationError) as want:
+        sl.build_counterexample("s2", theta=float(theta), schedule=[], domain_end=4.0)
+    monkeypatch.setattr(sl.forms, "assemble", refuse)
+    out = tmp_path / "s2.json"
+    assert main(["generate", "--kind", "s2", "--theta", theta, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+    assert not out.exists()
+    assert not (tmp_path / "s2.json.provenance.json").exists()
+
+
 def test_verify_command(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert main(["verify", "--seed", "20240801", "--out", str(out)]) == 0

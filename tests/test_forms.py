@@ -801,7 +801,6 @@ def test_complex_scan_hands_the_kernel_33_of_64_rotations():
     scan, columns = _certified_exactly(forms.localization_scan, s, 32, 64)
     assert len(scan.rows) == 7
     assert columns == [33 * 7]
-    assert all(r.boundary.size == 33 for r in scan.rows)
 
 
 def _scanned_forms(s, n, monkeypatch):
@@ -860,6 +859,39 @@ def test_scan_window_slices_are_bitwise_their_own_assembly(corpus, monkeypatch, 
     assert alone_seen >= 1      # [1, 2] or [2, 3] of the displaced model
     # a power-of-two mesh keeps the nodes numpy.linspace gave before
     assert np.array_equal(quadrature.grid(2.5, 3.5, 128), np.linspace(2.5, 3.5, 129))
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_scan_sweeps_span_by_span(monkeypatch, n):
+    # with the batch cut to 100 elements the 11 windows of [0, 6] fall in
+    # three spans at mesh 32 and four at mesh 33, whose half-shifted family
+    # is a lattice of its own.  Every call of either range path takes the
+    # windows of one span, and each row is its window's range swept alone,
+    # up to the kernel's coupling of a column to its batch-mates
+    monkeypatch.setattr(quadrature, "BATCH_PANELS", 100)
+    calls = []
+    for name in ("_real_ranges", "_half_plane_sweep"):
+        def spy(windows, thetas, _path=getattr(forms, name)):
+            calls.append([(w.interval.a, w.interval.b) for w in windows])
+            return _path(windows, thetas)
+
+        monkeypatch.setattr(forms, name, spy)
+    wins = forms.scan_windows(6.0)
+    for s in (sl.from_poly((0.3, 1j, 0.2 + 0.1j), 6.0), sl.from_poly((0.3, 1.0, 0.2), 6.0)):
+        spans = list(forms._spans(s, wins, n))
+        assert len(spans) == (3 if n % 2 == 0 else 4)
+        span_of = {(wins[k].a, wins[k].b): i for i, (_iv, run) in enumerate(spans) for k in run}
+        calls.clear()
+        rows = forms.localization_scan(s, n=n).rows
+        assert sorted(sum(calls, [])) == sorted(span_of)
+        for windows in calls:
+            assert len({span_of[w] for w in windows}) == 1, windows
+        for row in rows:
+            est = forms.range_boundary(forms.assemble(s, row.window, n))
+            for got, want in ((row.herm_lambda_min, est.lambda_mins[0]),
+                              (row.inf_lower, est.inf_modulus_lower),
+                              (row.inf_upper, est.inf_modulus_upper)):
+                assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (row.window, got, want)
 
 
 def test_scan_of_a_prefix_keeps_the_shared_rows_bounds(corpus):
@@ -926,7 +958,7 @@ def test_imaginary_slope_scan_sectors_start_at_lambda_min():
         assert row.sector.vertex.real == pytest.approx(row.herm_lambda_min, rel=1e-9)
     # tiny noise on the samples leaves the choice of end alone
     rng = np.random.default_rng(7)
-    z = scan.rows[2].boundary
+    z = forms.range_boundary(forms.assemble(s, scan.rows[2].window, 128)).boundary
     for _ in range(200):
         noisy = z * (1.0 + 1e-14 * rng.standard_normal(z.size))
         sec = sectors.fit_sector(noisy, require_strict_args=False, translate_vertex=True)
