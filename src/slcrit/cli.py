@@ -1,7 +1,8 @@
 """Command-line driver: analyze | scan | generate | verify | plot.
 
-Exit codes: 0 success, 1 numeric failure, 2 usage/parse error.  All outputs
-are deterministic for a fixed configuration and seed.
+Exit codes: 0 success, 1 numeric failure, 2 usage/parse error or an input
+too large for the memory at hand.  All outputs are deterministic for a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -288,6 +289,10 @@ def main(argv=None) -> int:
     except (NumericError, GenerationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: the input needs more memory than this process may use; "
+              "shorten the domain (--xmax)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

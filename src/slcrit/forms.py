@@ -26,13 +26,15 @@ sweeps windows x rotations: a complex form on the closed right half-plane of
 rotations and wherever a closed-form Rayleigh bound cannot rule a rotation
 out, a real form only at 0 and pi, the ends of its interval range.  It runs
 Laguerre steps driven by the twisted LDL^T pivot recurrence (both ends
-towards the middle row), Sturm-count multisection for the stragglers, and
-inverse iteration for the eigenvectors.  Each lower end is the largest
-shift with a positive definite factorization, backed off by the recurrence's
-backward error, so every reported bound is certified for the discrete pencil
-up to that error.  Discretization restricts to a subspace, so the continuum
-infimum can only be smaller than the discrete one.  A scan slices its
-windows' bands out of span assemblies and sweeps them span by span.
+towards the middle row) from a bracket that sine-vector Rayleigh quotients
+and a few definiteness probes set, Sturm-count multisection for the
+stragglers, and inverse iteration for the eigenvectors.  Each lower end is
+the largest shift with a positive definite factorization, backed off by the
+recurrence's backward error, so every reported bound is certified for the
+discrete pencil up to that error.  Discretization restricts to a subspace,
+so the continuum infimum can only be smaller than the discrete one.  A scan
+slices its windows' bands out of span assemblies and sweeps them span by
+span.
 """
 
 from __future__ import annotations
@@ -253,12 +255,17 @@ _CHUNK_ELEMENTS = 1 << 15
 #: fewest columns per chunk: the row loops cost the same for few columns as
 #: for many, so finer meshes trade memory (still linear in the mesh) for time
 _CHUNK_COLUMNS = 64
-#: most columns converge in three or four Laguerre passes; the rest (clusters
-#: near lambda_1, steps that lost definiteness to rounding) are cheaper to
-#: finish by multisection, whose pass runs a shorter recurrence
+#: from the bracket start a kernel call runs 3.9 Laguerre passes on real
+#: windows and 5.0 on complex ones (bench scan inputs, mesh 128); the columns
+#: still moving (clusters near lambda_1, steps that lost definiteness to
+#: rounding) are cheaper to finish by multisection, whose pass runs a shorter
+#: recurrence: 3.0 passes per real call and 7.7 per complex one
 _LAGUERRE_PASSES = 5
 #: trial shifts per column in one multisection pass, at most
 _SECTIONS = 15
+#: definiteness passes of the starting bracket, each testing one shift per
+#: column, 4^-j of the way down from the Rayleigh bound to the Gershgorin one
+_PROBES = 4
 #: backoff in units of eps times the eigenvector-weighted |H| + |x| |M|: the
 #: pivot recurrence's backward error, with room for the rounding of the
 #: rotation, the normalisation and the Rayleigh quotients of the samples
@@ -307,28 +314,6 @@ def _gershgorin(d, o):
     radius[2:] += ao[:-2]
     radius[-1] += ao[-2]
     return (np.abs(d) + radius).max(0), (d - radius).min(0)
-
-
-def _element_floor(h, ho, m, mo):
-    """Least lambda_min over the element blocks of the pencil (H, M).
-
-    M is a sum of blocks mo [[2, 1], [1, 2]] and a diagonal remainder, and
-    H's diagonal splits in the same proportions; below every block's
-    lambda_min and the remainder's quotients (not below min h/m, a cap the
-    caller applies), H - x M is semidefinite.  With r, c the rows' h/m and
-    b = ho/mo, a block's lambda solves lambda^2 - 2 s lambda + q = 0.
-    """
-    r = h / m
-    c = np.append(r[2:], r[-1:], axis=0)
-    b = ho[:-1] / mo[:-1]
-    s = (2.0 * (r[:-1] + c) - b) / 3.0
-    c *= r[:-1]
-    del r
-    q = (4.0 * c - b * b) / 3.0
-    del b, c
-    root = np.sqrt(np.maximum(s * s - q, 0.0))
-    lam = np.where(s > 0, q / (s + root), s - root)
-    return np.where(mo[:-1] > 0, lam, np.inf).min(0)
 
 
 def _shifted(h, ho, m, mo, x):
@@ -407,13 +392,16 @@ def _pencil_floor(h, ho, m, mo, dims):
     twisted.
 
     Each column is normalised by the Gershgorin magnitudes of H and M, so no
-    intermediate overflows, then stepped by Laguerre's method, whose iterates
-    stay below lambda_1 for a real-rooted pencil, from the larger of the
-    Gershgorin and the element-wise lower bound.  Columns still moving after
-    a few passes, or whose step lost definiteness to rounding, are finished
-    by multisection on the definiteness test.  The bound is the largest shift
-    found definite, backed off by the recurrence's backward error as the
-    eigenvector sees it; two inverse-iteration solves give the vector.
+    intermediate overflows, and bracketed: the Rayleigh quotients of the sine
+    vector and its alternating twin bound lambda_1 from above, and
+    ``_PROBES`` definiteness passes test shifts 4^-j of the way from there
+    down to the Gershgorin bound.  Laguerre's method, whose iterates stay
+    below lambda_1 for a real-rooted pencil, steps from the largest shift
+    found definite.  Columns still moving after a few passes, or whose step
+    lost definiteness to rounding, are finished by multisection on the
+    definiteness test.  The bound is the largest shift found definite, backed
+    off by the recurrence's backward error as the eigenvector sees it; two
+    inverse-iteration solves give the vector.
     """
     n, K = h.shape
     with np.errstate(all="ignore"):
@@ -433,11 +421,28 @@ def _pencil_floor(h, ho, m, mo, dims):
         # tolerance floor: eps times a lower estimate of the weighted size of
         # |H| that sets the backoff
         floor = 0.25 * (np.abs(h) / m).min(0)
+        natural = _twist(n)[0][:, None]           # natural row of each twisted one
+
+        # bracket: the sine vector and its alternating twin, the lowest and
+        # highest discrete Laplacian modes on the window's own rows, put their
+        # Rayleigh quotients near lambda_1 of a stiffness-led pencil (theta
+        # near 0 and near pi); below them, lo moves only to shifts found
+        # definite and hi to the least one found not definite
+        sine = np.where(natural < dims, np.sin((natural + 1) * (math.pi / (dims + 1))), 0.0)
+        for v in (sine, sine * np.where(natural % 2, -1.0, 1.0)):
+            hi = np.minimum(hi, _quad(h, ho, v) / _quad(m, mo, v))
+        del sine, v
+        top, span = hi, hi - lo
+        for j in range(1, _PROBES + 1):
+            probe = top - span * 0.25 ** j
+            pd = _definite(*_shifted(h, ho, m, mo, probe))
+            lo = np.where(pd, probe, lo)
+            hi = np.minimum(hi, np.where(pd, np.inf, probe))
+        x = lo.copy()
 
         # Laguerre phase: at a definite x the eigenvalues put lambda_1 in
         # [x + L, x + |G|/S], L Laguerre's step; lo moves only to shifts
         # found definite
-        x = np.maximum(lo, np.minimum(_element_floor(h, ho, m, mo), hi))
         ladder = np.zeros(K)
         todo = np.arange(K)
         left = []
@@ -505,8 +510,7 @@ def _pencil_floor(h, ho, m, mo, dims):
         T[-1] -= _fold(mult * e[-1])
         T[-1][T[-1] == 0.0] = _EPS
         e[-1] = mult
-        rows = _twist(n)[0][:, None]
-        vec = np.where(rows < dims, 0.5 + (rows * 0.6180339887498949) % 1.0, 0.0)
+        vec = np.where(natural < dims, 0.5 + (natural * 0.6180339887498949) % 1.0, 0.0)
         for _ in range(2):
             y = _apply(m, mo, vec)
             ys = _stacked(y)

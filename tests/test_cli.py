@@ -317,6 +317,18 @@ def test_analyze_overflowing_square_exits_1(tmp_path, slcrit_subprocess):
     assert "Traceback" not in run.stderr
 
 
+def test_analyze_absurd_domain_exits_2(tmp_path, slcrit_subprocess):
+    # a valid one-piece s = x on [0, 1e9] asks for gigabytes of window
+    # origins: under the address-space limit that is a one-line exit 2, not a
+    # MemoryError traceback
+    src = _poly_doc(tmp_path / "far.json", 1e9, [0.0, 1.0, 0.0, 0.0])
+    run = slcrit_subprocess(["analyze", "--potential", src, "--out", tmp_path / "r.json"],
+                            timeout=BUDGET_S)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: the input needs more memory")
+    assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
+
+
 @st.composite
 def _documents(draw):
     """Potential documents of finite numbers with at most one special value

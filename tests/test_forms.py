@@ -697,16 +697,62 @@ def test_kernel_matches_long_double_sturm_count_on_stiff_complex_windows():
     assert np.all(lows <= rotated + 64 * eps * np.maximum(np.abs(rotated), 1.0))
 
 
+def _step_models(rng, count):
+    """Real piecewise-constant s with jumps on [0, 3], like the bench's step
+    potentials: the windows whose lambda_lo columns straggled in the kernel."""
+    return [sampling.random_antiderivative(rng, domain_end=3.0, pieces=5, jumps=2,
+                                           amplitude=3.0, complex_valued=False,
+                                           max_degree=0) for _ in range(count)]
+
+
+#: mean multisection passes per kernel call on the mesh-128 scans of
+#: ``test_bracket_start_keeps_the_multisection_short``, bracket probes not
+#: counted: 22.25 from the Gershgorin and element-wise start, 4.88 from the
+#: Rayleigh bracket (10.4 and 3.0 per real call on the bench scan inputs)
+MULTISECTION_PASSES = 8.0
+
+
+def test_bracket_start_keeps_the_multisection_short(monkeypatch):
+    # a column that starts far below lambda_1 only halves its distance per
+    # Laguerre pass and leaves tens of bits to the multisection; the counts
+    # are exact, so the bound holds on any machine
+    counts = dict.fromkeys(("_pencil_floor", "_laguerre_terms", "_definite"), 0)
+    for name in counts:
+        def spy(*args, _fn=getattr(forms, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(forms, name, spy)
+    rng = np.random.default_rng(41)
+    models = _step_models(rng, 4)
+    models += [sl.miura(sampling.random_gamma(rng, domain_end=3.0), 0.0) for _ in range(4)]
+    for s in models:
+        forms.localization_scan(s, n=128)
+    calls = counts["_pencil_floor"]
+    assert calls >= 8
+    assert counts["_laguerre_terms"] <= forms._LAGUERRE_PASSES * calls
+    assert counts["_definite"] / calls - forms._PROBES <= MULTISECTION_PASSES
+
+
 def test_real_windows_certified_at_both_ends_of_the_range():
     # a real form's range [lambda_lo, lambda_hi] comes from the sweep at 0
     # and pi: both bounds hold exactly on the pencils handed to the kernel,
-    # and sit within the backoff below the long-double inertia count
+    # and sit within the backoff below the long-double inertia count.  Steps
+    # with jumps are the windows whose lambda_lo columns straggled.  On a
+    # constant s the form is the stiffness alone, whose exact discrete
+    # eigenvectors on a uniform mesh are the sine vector (lambda_1 at 0) and
+    # its alternating twin (at pi), so the kernel's Rayleigh bound can round
+    # onto lambda_1
     rng = np.random.default_rng(35)
     windows = [forms.assemble(sl.miura(sampling.random_gamma(rng), 0.0),
                               sl.Interval(0.5, 1.5), n) for n in (64, 128)]
     windows.append(forms.assemble(sl.delta_sum([0.3, 0.55, 0.8], [4.0, -6.0, 2.5], 1.0),
                                   sl.Interval(0.0, 1.0), 64))
     windows += _near_node_windows(np.random.default_rng(8), 6)
+    windows += [forms.assemble(s, sl.Interval(k, k + 1.0), 128)
+                for s in _step_models(np.random.default_rng(42), 3) for k in (0.0, 1.5)]
+    windows += [forms.assemble(sl.from_poly((c,), 2.0), sl.Interval(0.5, 1.5), n)
+                for c, n in ((0.0, 128), (2.5, 127), (-1e3, 64))]
     assert all(forms._is_real(w) for w in windows)
     (lows, _samples), _columns = _certified_exactly(forms._rotation_sweep, windows,
                                                     forms._REAL_THETAS)

@@ -285,3 +285,24 @@ def test_power_of_two_scaling_keeps_the_sectors(doc, t):
         assert (sec is None) == (sec1 is None)
         if sec is not None:
             assert (sec1.alpha, sec1.beta, sec1.vertex) == (sec.alpha, sec.beta, t * sec.vertex)
+
+
+def test_negating_s_leaves_no_strict_sector():
+    # s -> -s turns every difference s(x) - s(t) by pi.  On s = x they lie on
+    # the positive real axis, and on s = x + i (x - 3)^2 / 20 they fan out
+    # from 0 around it by up to atan(0.3) each way: both fits report a strict
+    # sector at vertex 0.  Negated, the fan straddles the negative real axis,
+    # which no strict sector admits, so both report none.  On -x itself only
+    # sector_fit, pinned at 0, sees the negative axis: brinck moves its vertex
+    # to the support point -d, from which the segment [-d, 0] points along
+    # the positive axis (Sector(-1, 0, 0))
+    for a in (0.0, 0.05):
+        s = sl.from_poly((9.0j * a, 1.0 - 6.0j * a, 1.0j * a), 6.0)
+        for sec in _fits(s):
+            assert sec is not None and sec.vertex == 0 and sec.is_strict()
+            assert -sec.alpha == pytest.approx(sec.beta, abs=1e-12)
+            assert 0.9 * math.atan(6.0 * a) <= sec.beta <= math.atan(6.0 * a)
+        flipped = potential.scale(s, -1.0)
+        assert criteria.sector_fit(flipped) is None
+        if a:
+            assert criteria.brinck(flipped)[0] is None
