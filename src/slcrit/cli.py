@@ -282,6 +282,9 @@ def main(argv=None) -> int:
             value = getattr(args, option, None)
             if value is not None and value > limit:
                 raise ValidationError(f"--{option} {value} exceeds the limit {limit}")
+        xmax = getattr(args, "xmax", None)
+        if xmax is not None and not (math.isfinite(xmax) and xmax > 0.0):
+            raise ValidationError(f"--xmax {xmax} must be finite and positive")
         return args.fn(args)
     except (ValidationError, DomainError, UnsupportedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

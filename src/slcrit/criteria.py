@@ -188,9 +188,11 @@ class DifferenceCloud:
 
     v = s + extra (at the later point), w = s + extra_t (at the earlier one).
     Midpoint samples on cells split at breakpoints keep the cloud inside the
-    essential range of the pieces.  The points come lag by lag, lag 0 first,
-    in chunks of about CLOUD_CHUNK points, made afresh on every pass, so the
-    cloud is never held whole.
+    essential range of the pieces.  ``reach[i]`` is the lag of the last grid
+    point within d of point i, all from one ``searchsorted``; lag L pairs
+    point i with point i + L wherever reach[i] >= L.  The points come lag by
+    lag, lag 0 first, in chunks of about CLOUD_CHUNK points, made afresh on
+    every pass, so the cloud is never held whole.
     """
 
     def __init__(self, s: Antiderivative, d: float, extra: Antiderivative = None,
@@ -203,32 +205,19 @@ class DifferenceCloud:
         n_cells = max(8, int(math.ceil(s.domain_end / step)))
         grid, _w = quadrature.midpoint_cells(0.0, s.domain_end, sorted(breaks), n_cells)
         base = s.values(grid)
-        self.grid = grid
-        self.v_late = base + (extra.values(grid) if extra is not None else 0.0)
-        self.v_early = base + (extra_t.values(grid) if extra_t is not None else 0.0)
-        self.d = d
-        # the lags that hold points: up to floor(d/step) + 2, stopping at the
-        # first lag with none
-        self.size = grid.size
-        self.lags = 0
-        for lag in range(1, min(int(math.floor(d / step)) + 2, grid.size - 1) + 1):
-            count = int(np.count_nonzero(self._inside(lag)))
-            if count == 0:
-                break
-            self.size += count
-            self.lags = lag
-
-    def _inside(self, lag: int) -> np.ndarray:
-        return self.grid[lag:] - self.grid[:-lag] <= self.d + 1e-12
+        self.v_late = base + extra.values(grid) if extra is not None else base
+        self.v_early = base + extra_t.values(grid) if extra_t is not None else base
+        self.reach = (grid.searchsorted(grid + (d + 1e-12), side="right")
+                      - np.arange(1, grid.size + 1))
 
     def __iter__(self):
         parts = [self.v_late - self.v_early]
         held = parts[0].size
-        for lag in range(1, self.lags + 1):
+        for lag in range(1, int(self.reach.max()) + 1):
             if held >= CLOUD_CHUNK:
                 yield np.concatenate(parts)
                 parts, held = [], 0
-            part = (self.v_late[lag:] - self.v_early[:-lag])[self._inside(lag)]
+            part = (self.v_late[lag:] - self.v_early[:-lag])[self.reach[:-lag] >= lag]
             parts.append(part)
             held += part.size
         yield np.concatenate(parts)

@@ -123,7 +123,6 @@ class WindowForm:
     P_bands: tuple             # potential matrix int s (phi_i phi_j)', complex symmetric
     M_bands: tuple             # mass, real symmetric
     B_bands: tuple             # form matrix: c^H B c is the form value
-    gauge: tuple = None
 
     @property
     def dim(self) -> int:
@@ -186,7 +185,6 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
         raise ValidationError("mesh resolution n must be >= 8")
     s.check_interval(interval)
     breaks = list(s.breakpoints) + list(extra_breakpoints)
-    g = None
     if gauge is not None:
         g, kappa1, kappa2 = gauge
         if not g.is_real(tol=0.0):
@@ -203,7 +201,6 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
     left, right = mid - nodes[:-1], nodes[1:] - mid
     P = _derivative_bands(*_element_integrals(s, nodes, mid, _first_rows), left, right)
     b_diag, b_off = A[0] - P[0], A[1] - P[1]
-    gauge_meta = None
     if gauge is not None:
         g0, g1, j0, j1, j2 = _element_integrals(g, nodes, mid, _gauge_rows)
         Q = [band.real for band in _derivative_bands(g0, g1, left, right)]
@@ -216,11 +213,9 @@ def assemble(s: Antiderivative, interval: Interval, n: int,
         mix = kappa1 ** 2 - kappa2
         b_diag = b_diag - kappa1 * Q[0] + mix * R[0]
         b_off = b_off - kappa1 * Q[1] + mix * R[1]
-        gauge_meta = (g, float(kappa1), float(kappa2))
 
     return WindowForm(interval=interval, n=n, nodes=nodes, A_bands=A,
-                      P_bands=P, M_bands=M, B_bands=(b_diag, b_off),
-                      gauge=gauge_meta)
+                      P_bands=P, M_bands=M, B_bands=(b_diag, b_off))
 
 
 def form_value(w: WindowForm, c: np.ndarray) -> complex:

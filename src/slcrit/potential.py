@@ -644,17 +644,6 @@ def vh_profile(h: float) -> tuple[PiecewiseLinear, Antiderivative]:
 # -- counterexample builders -------------------------------------------------
 
 
-def _shift_poly(coeffs: tuple, dx: float) -> tuple:
-    """Coefficients of p(x - dx) given those of p(x)."""
-    out = [0j] * len(coeffs)
-    for c in reversed(coeffs):
-        # multiply accumulated polynomial by (x - dx), then add c
-        for k in range(len(out) - 1, 0, -1):
-            out[k] = out[k - 1] - dx * out[k]
-        out[0] = c - dx * out[0]
-    return tuple(out)
-
-
 def _staircase(levels_fn, cuts, domain_end: float) -> Antiderivative:
     """Continuous S with piecewise-constant derivative ``levels_fn(cell)``."""
     bp = _merge_breakpoints(np.asarray(sorted(set(list(cuts) + [0.0, domain_end]))))
@@ -748,8 +737,9 @@ def _stitch_blocks(profiles, shifts, amplitudes, domain_end: float) -> Antideriv
             shifted = []
             for term in piece:
                 if isinstance(term, PolyTerm):
+                    coeffs = term.coeffs + (0j,) * (4 - len(term.coeffs))
                     shifted.append(PolyTerm(tuple(amp * c for c in
-                                                  _shift_poly(term.coeffs, shift))))
+                                                  _horner_shift(coeffs, -shift))))
                 else:
                     shifted.append(RecipTerm(amp * term.c, term.pole + shift))
             pieces.append(tuple(shifted))

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import slcrit as sl
-from slcrit import verify
+from slcrit import cli, verify
 from slcrit.cli import main
 
 
@@ -279,6 +279,25 @@ def test_xmax_override(tmp_path, quadratic_file):
                  "--mesh", "48", "--angles", "16", "--out", str(out)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))[1:]
     assert max(float(r[1]) for r in rows) <= 4.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["analyze", "scan", "plot", "generate"])
+def test_non_finite_xmax_exits_2_before_loading(tmp_path, quadratic_file, monkeypatch,
+                                                 capsys, command, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be loaded or generated for a non-finite --xmax")
+
+    for name in ("load", "build_counterexample", "save"):
+        monkeypatch.setattr(sl.potential, name, refuse)
+    monkeypatch.setattr(cli, "_orchestrate_s2", refuse)
+    source = ["--kind", "s2", "--blocks", "1"] if command == "generate" else [
+        "--potential", quadratic_file]
+    out = tmp_path / "out"
+    assert main([command, *source, "--xmax", value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--xmax" in err and "finite and positive" in err
+    assert not list(tmp_path.glob("out*"))
 
 
 # -- malformed and overflowing input in a memory-limited subprocess ----------------

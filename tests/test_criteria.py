@@ -380,11 +380,8 @@ def _difference_cloud(s, d, extra=None, extra_t=None, step=None):
     grid, _w = quadrature.midpoint_cells(0.0, s.domain_end, sorted(breaks), n_cells)
     v_late = s.values(grid) + (extra.values(grid) if extra is not None else 0.0)
     v_early = s.values(grid) + (extra_t.values(grid) if extra_t is not None else 0.0)
-    max_lag = int(math.floor(d / step)) + 2
     diffs = [v_late - v_early]
-    for lag in range(1, max_lag + 1):
-        if lag >= grid.size:
-            break
+    for lag in range(1, grid.size):
         gaps = grid[lag:] - grid[:-lag]
         inside = gaps <= d + 1e-12
         if not np.any(inside):
@@ -403,7 +400,6 @@ def test_streamed_fits_equal_whole_cloud_fits(corpus, monkeypatch, chunk):
     for name, s in list(corpus) + trio:
         for d in (1.0, 0.4):
             cloud = _difference_cloud(s, d)
-            assert criteria.DifferenceCloud(s, d).size == cloud.size
             assert np.array_equal(np.concatenate(list(criteria.DifferenceCloud(s, d))), cloud)
             assert criteria.brinck(s, d)[0] == sectors.fit_sector(
                 cloud, require_strict_args=True, translate_vertex=True), (name, d)
@@ -413,3 +409,25 @@ def test_streamed_fits_equal_whole_cloud_fits(corpus, monkeypatch, chunk):
             cloud = _difference_cloud(s, 1.0, extra=f, extra_t=g, step=0.05)
             assert criteria.sector_fit(s, 1.0, f=f, g=g, step=0.05) == sectors.fit_sector(
                 cloud, require_strict_args=True, translate_vertex=False), name
+
+
+def test_cloud_takes_every_pair_within_d_on_dense_breakpoints():
+    # breakpoints every 0.1 (or 60 random ones on [0, 4]) split the d/64 cells,
+    # so more than floor(d/step) + 2 cells fall within d of a point: the
+    # cloud must still hold every grid pair with g_j - g_i <= d, ordered by
+    # lag, then by the earlier point
+    rng = np.random.default_rng(7)
+    spaced = [k / 10.0 for k in range(1, 120)]
+    scattered = np.sort(rng.uniform(0.0, 4.0, 60)).tolist()
+    for s in (sl.delta_sum(spaced, rng.normal(size=119) + 1j * rng.normal(size=119), 12.0),
+              sl.delta_sum(scattered, rng.normal(size=60) + 1j * rng.normal(size=60), 4.0)):
+        for d in (1.0, 0.5):
+            n_cells = max(8, int(math.ceil(s.domain_end / (d / 64.0))))
+            grid, _w = quadrature.midpoint_cells(0.0, s.domain_end, s.breakpoints, n_cells)
+            v = s.values(grid)
+            early, late = np.nonzero(grid[None, :] - grid[:, None] <= d + 1e-12)
+            keep = late >= early
+            early, late = early[keep], late[keep]
+            order = np.lexsort((early, late - early))
+            pairs = v[late[order]] - v[early[order]]
+            assert np.array_equal(np.concatenate(list(criteria.DifferenceCloud(s, d))), pairs)

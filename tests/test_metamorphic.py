@@ -306,3 +306,20 @@ def test_negating_s_leaves_no_strict_sector():
         assert criteria.sector_fit(flipped) is None
         if a:
             assert criteria.brinck(flipped)[0] is None
+
+
+@pytest.mark.parametrize("phi", [0.3, -0.4, math.pi / 8.0, 1.0])
+def test_rotating_s_rotates_the_sectors(phi):
+    # e^{i phi} s turns every difference s(x) - s(t) by phi.  On
+    # s = x + i (x - 3)^2 / 20 the differences fan out from 0 by up to
+    # atan(0.3) each way about the positive real axis, so turned by |phi| <= 1
+    # they stay off the negative one: both fits turn their bounds by phi and
+    # their vertex with the cloud.  Rounding in the rotated model moves each
+    # bound by a few ulps (4e-14 at most seen)
+    s = sl.from_poly((0.45j, 1.0 - 0.3j, 0.05j), 6.0)
+    turn = complex(math.cos(phi), math.sin(phi))
+    for sec, sec1 in zip(_fits(s), _fits(potential.scale(s, turn))):
+        assert sec is not None and sec1 is not None
+        assert sec1.alpha == pytest.approx(sec.alpha + phi, abs=1e-12)
+        assert sec1.beta == pytest.approx(sec.beta + phi, abs=1e-12)
+        assert abs(sec1.vertex - turn * sec.vertex) <= 1e-12
