@@ -25,6 +25,8 @@ from .potential import Antiderivative, Interval
 #: values are refused before anything is assembled
 MAX_MESH = 4096
 MAX_ANGLES = 1024
+#: doublings of the bump height h that ``_orchestrate_s2`` tries per block
+S2_DOUBLINGS = 40
 
 
 def _parse_complex(text: str) -> complex:
@@ -87,8 +89,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _orchestrate_s2(theta: float, blocks: int, h0: float, mesh: int,
-                    eps_doublings: int = 40):
+def _orchestrate_s2(theta: float, blocks: int, h0: float, mesh: int):
     """Choose (N_k, h_k, A_k) per block by doubling h until the bracket holds.
 
     mu_k is the bottom of the gauged window form over the three unit windows
@@ -106,7 +107,7 @@ def _orchestrate_s2(theta: float, blocks: int, h0: float, mesh: int,
     h = h0
     for _k in range(blocks):
         chosen = None
-        for _ in range(eps_doublings):
+        for _ in range(S2_DOUBLINGS):
             _v, gamma = potential.vh_profile(h)
             g = potential._stitch_blocks([gamma], [0.5], [amp], 2.0)
             zero_s = potential.zero(2.0)
@@ -126,7 +127,7 @@ def _orchestrate_s2(theta: float, blocks: int, h0: float, mesh: int,
         if chosen is None:
             raise GenerationError(
                 f"block {_k + 1}: level bracket unreachable within "
-                f"{eps_doublings} doublings of h")
+                f"{S2_DOUBLINGS} doublings of h")
         n_k, h_k, a_k, mu = chosen
         schedule.append((n_k, h_k, a_k))
         provenance.append({"N": n_k, "h": h_k, "mu": mu, "A": a_k})

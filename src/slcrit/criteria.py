@@ -397,11 +397,10 @@ def classify(s: Antiderivative, config: ClassifyConfig = ClassifyConfig()) -> Ve
     evidence = []
 
     series, refuted = scan_necessary(s, config.a, th)
-    growing = not bounded_trend(series.values, th.growth_factor, th.dbl_bound)
     q = max(1, series.values.size // 4)
     evidence.append(Evidence(
         "scan_necessary", "necessary-condition",
-        {"a": config.a, "refuted": refuted, "growing": growing,
+        {"a": config.a, "refuted": refuted, "growing": not refuted,
          "first_quarter_max": float(np.max(series.values[:q])),
          "last_quarter_max": float(np.max(series.values[-q:])),
          "ceiling": th.dbl_bound, "factor": th.growth_factor}))
@@ -444,7 +443,7 @@ def classify(s: Antiderivative, config: ClassifyConfig = ClassifyConfig()) -> Ve
         outcome = OUTCOME_NOT_COMPACT
     elif diff_sector is not None and not growth_bounded:
         outcome = OUTCOME_COMPACT
-    elif pair_sector is not None and growing:
+    elif pair_sector is not None:      # past (i), the scan diverges
         outcome = OUTCOME_COMPACT
     elif inherit is not None:
         outcome = inherit

@@ -4,12 +4,13 @@ The window form on I = [a, b] with zero boundary values is
 
     l_I[y] = int_I |y'|^2 dx - int_I s d|y|^2,      d|y|^2 = (y conj(y))' dx.
 
-It is discretized with real hat functions on a mesh that carries every
-breakpoint and jump of s as a node, so delta contributions enter the
-potential matrix exactly instead of being smeared.  For a coefficient vector
-c the discrete form value is c^H (A - P) c; an optional gauge turns the form
-into  int |y' - k1 g y|^2 - k2 int g^2 |y|^2 - int s d|y|^2, the shape used
-by the scaled counterexample decomposition.  Every matrix is tridiagonal and
+It is discretized with real hat functions on the mesh of ``quadrature.grid``,
+whose cell nodes never move.  Every element integral is split at every
+breakpoint of s, so jumps and delta terms enter the bands exactly wherever
+the nodes lie.  For a coefficient vector c the discrete form value is
+c^H (A - P) c; an optional gauge turns the form into
+int |y' - k1 g y|^2 - k2 int g^2 |y|^2 - int s d|y|^2, the shape used by
+the scaled counterexample decomposition.  Every matrix is tridiagonal and
 is stored as its diagonal and off-diagonal; dense views are built on demand.
 Every element integral comes from one ``potential.centred_integrals`` call
 per model, in element-local coordinates on s less its value at 0, so an
@@ -169,22 +170,20 @@ def _gauge_rows(v, t, r, _window):
     return v, v * t, g2, g2 * t, g2 * t * t
 
 
-def assemble(s: Antiderivative, interval: Interval, n: int,
-             gauge: tuple = None, extra_breakpoints=()) -> WindowForm:
+def assemble(s: Antiderivative, interval: Interval, n: int, gauge: tuple = None) -> WindowForm:
     """Assemble stiffness/potential/mass (and gauge) matrices on [a, b].
 
     gauge, when given, is a triple (g, kappa1, kappa2) with real-valued g:
     the discrete form becomes
         int |y' - kappa1 g y|^2 - kappa2 int g^2 |y|^2 - int s d|y|^2 .
-    ``extra_breakpoints`` forces additional mesh nodes so that forms built
-    from different potentials can share one mesh.  Every element integral
-    is taken in element-local coordinates t = x - midpoint, one
-    ``potential.centred_integrals`` call per model.
+    The mesh is ``quadrature.grid`` of n cells with the breakpoints of s
+    (and g).  Every element integral is taken in element-local coordinates
+    t = x - midpoint, one ``potential.centred_integrals`` call per model.
     """
     if n < 8:
         raise ValidationError("mesh resolution n must be >= 8")
     s.check_interval(interval)
-    breaks = list(s.breakpoints) + list(extra_breakpoints)
+    breaks = list(s.breakpoints)
     if gauge is not None:
         g, kappa1, kappa2 = gauge
         if not g.is_real(tol=0.0):
@@ -764,9 +763,9 @@ class ScanResult:
 
 def scan_windows(domain_end: float) -> list[Interval]:
     """Both localization families inside [0, X]: [k-1, k] and [k-1/2, k+1/2]."""
-    ks = range(1, int(domain_end + 1e-12) + 1)
+    ks = range(1, math.floor(domain_end) + 1)
     return sorted([Interval(float(k - 1), float(k)) for k in ks]
-                  + [Interval(k - 0.5, k + 0.5) for k in ks if k + 0.5 <= domain_end + 1e-12],
+                  + [Interval(k - 0.5, k + 0.5) for k in ks if k + 0.5 <= domain_end],
                   key=lambda w: w.a)
 
 
@@ -786,12 +785,10 @@ def _spans(s: Antiderivative, wins: list, n: int):
             run = run[m:]
 
 
-def _window_of(span: WindowForm, win: Interval) -> WindowForm | None:
+def _window_of(span: WindowForm, win: Interval) -> WindowForm:
     """Window ``win``'s form as a principal sub-pencil (slices) of a span form on
-    its lattice; None when a breakpoint near an end took that end's place."""
+    its lattice, whose cell nodes include both ends of the window."""
     i, j = span.nodes.searchsorted([win.a, win.b])
-    if j >= span.nodes.size or span.nodes[i] != win.a or span.nodes[j] != win.b:
-        return None
     bands = [(d[i:j - 1], o[i:j - 2])
              for d, o in (span.A_bands, span.P_bands, span.M_bands, span.B_bands)]
     return WindowForm(win, span.n, span.nodes[i:j + 1], *bands)
@@ -801,11 +798,11 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
     """Per-window sector and inf-modulus table over both window families.
 
     Each window is a slice of a span assembly (``_spans``), bitwise its own
-    ``assemble``, except a window with an end that a breakpoint within the
-    grid floor displaced in the span: it is assembled alone.  Each span's
-    windows are swept as one ``_ranges`` group as soon as the span is
-    sliced, and only its rows are kept, so the memory of a scan does not
-    grow with its windows' forms.  The result flags monotone lower bounds.
+    ``assemble``: cell nodes never move, so the span's mesh between a
+    window's ends is the window's own.  Each span's windows are swept as one
+    ``_ranges`` group as soon as the span is sliced, and only its rows are
+    kept, so the memory of a scan does not grow with its windows' forms.
+    The result flags monotone lower bounds.
     """
     if s.domain_end < 2.0:
         raise ValidationError("scan needs domain_end >= 2 for a full window pair")
@@ -816,7 +813,7 @@ def localization_scan(s: Antiderivative, n: int = 128, angles: int = 64) -> Scan
     rows = [None] * len(wins)
     for interval, run in _spans(s, wins, n):
         whole = assemble(s, interval, round(n * interval.length))
-        group = [_window_of(whole, wins[k]) or assemble(s, wins[k], n) for k in run]
+        group = [_window_of(whole, wins[k]) for k in run]
         for k, est in zip(run, _ranges(group, thetas)):
             rows[k] = ScanRow(wins[k], est.sector, float(est.lambda_mins[0]),
                               est.inf_modulus_lower, est.inf_modulus_upper)

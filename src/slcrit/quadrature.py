@@ -48,7 +48,7 @@ GL_ORDER = 8
 CELL_AT = 0.5 * (1.0 + gauss_legendre(16)[0])
 CELL_WEIGHTS = 0.5 * gauss_legendre(16)[1]
 
-#: a cell node of ``grid`` this close to a breakpoint, in cells, gives way to it
+#: a breakpoint this close to a cell node of ``grid``, in cells, gives way to it
 _GRID_FLOOR = 1e-6
 
 #: segments in one batch of windows of ``potential.window_moments``, and mesh
@@ -85,24 +85,22 @@ def window_edges(starts, ends, breakpoints) -> tuple:
 
 
 def grid(a: float, b: float, n: int, breakpoints=()) -> np.ndarray:
-    """Nodes of n equal cells on [a, b] with every interior breakpoint a node.
+    """FEM mesh nodes on [a, b]: n equal cells and the breakpoints between them.
 
-    A cell node closer than 1e-6 of a cell to a breakpoint gives way to it,
-    and a breakpoint that close to a or b is left out, so the ends stay
-    exact.  FEM meshes and integrator panels both come from here.
-    Cell node j is (a n + j (b - a)) / n, so a span on the same lattice has
-    bitwise the same nodes on [a, b]; a power-of-two n gives linspace's.
+    The n + 1 cell nodes, a and b among them, never move; a breakpoint
+    strictly inside becomes a node unless it lies within 1e-6 of a cell of
+    one.  Cell node j is (a n + j (b - a)) / n, so a window of a span on the
+    same lattice has the span's nodes between its ends, bit for bit; a
+    power-of-two n gives linspace's.
     """
     floor = _GRID_FLOOR * ((b - a) / n)
+    cells = (a * n + np.arange(n + 1) * (b - a)) / n
+    cells[0], cells[-1] = a, b
     bp = np.unique(np.asarray(breakpoints, dtype=float))
-    bp = bp[(bp - a >= floor) & (b - bp >= floor)]
-    cells = (a * n + np.arange(1, n) * (b - a)) / n
-    if bp.size:
-        i = bp.searchsorted(cells)
-        gap = np.minimum(np.abs(cells - bp[np.maximum(i - 1, 0)]),
-                         np.abs(bp[np.minimum(i, bp.size - 1)] - cells))
-        cells = cells[gap >= floor]
-    return np.concatenate([[a], np.sort(np.concatenate([cells, bp])), [b]])
+    bp = bp[(bp > a) & (bp < b)]
+    i = cells.searchsorted(bp)
+    bp = bp[np.minimum(bp - cells[i - 1], cells[i] - bp) >= floor]
+    return np.sort(np.concatenate([cells, bp]))
 
 
 def split_panels(a: float, b: float, breakpoints=()) -> np.ndarray:

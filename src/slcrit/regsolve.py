@@ -15,8 +15,9 @@ w^2 = S1^2 - h*S2, so exp(Omega) = cosh(w) I + sinhc(w) Omega in closed form.
 The scheme is second-order accurate in the panel width, exact when s is
 constant on the panel (there the true system matrix is nilpotent), and has
 unit determinant, so the fundamental pair keeps its Wronskian exactly.
-Panels are aligned with breakpoints; the state (y, y1) is continuous across
-jumps of s by the regularization contract, so no impulse handling is needed.
+Every breakpoint inside the interval is a panel edge, with no floor; the
+state (y, y1) is continuous across jumps of s by the regularization
+contract, so no impulse handling is needed.
 
 One kernel, ``_transfers``, builds these exponentials for any array of
 segments at once (whole panels, panel heads and panel tails alike), and one
@@ -74,10 +75,9 @@ def _grid(s: Antiderivative, interval: Interval, panels: int,
     s.check_interval(interval)
     if panels < 1:
         raise ValidationError("panel count must be positive")
-    breaks = list(s.breakpoints)
-    if forcing is not None:
-        breaks += list(forcing.breakpoints)
-    return quadrature.grid(interval.a, interval.b, panels, breaks)
+    breaks = s.breakpoints + (() if forcing is None else forcing.breakpoints)
+    return np.union1d(quadrature.grid(interval.a, interval.b, panels),
+                      quadrature.split_panels(interval.a, interval.b, breaks))
 
 
 def _gauss(lo: np.ndarray, hi: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
@@ -138,8 +138,8 @@ def propagate(s: Antiderivative, interval: Interval, init: State,
 
     Forcing is added through a 3-point Gauss quadrature of the
     variation-of-constants integral, with the in-panel transfer evaluated
-    from sub-panel moments; panels always respect breakpoints of s and the
-    forcing.
+    from sub-panel moments; every breakpoint of s and of the forcing
+    strictly inside the interval is a panel edge.
     """
     edges = _grid(s, interval, panels, forcing)
     lo, hi = edges[:-1], edges[1:]

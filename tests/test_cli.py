@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import slcrit as sl
-from slcrit import cli, verify
+from slcrit import cli, forms, verify
 from slcrit.cli import main
 
 
@@ -217,6 +217,25 @@ def test_plot_outputs(tmp_path, quadratic_file):
     assert v0 == pytest.approx(x0 + 0.5, abs=1e-9)
     for suffix in ("dbl", "infmod", "range"):
         assert (tmp_path / f"plot_{suffix}.csv").exists()
+
+
+@pytest.mark.parametrize("xmax, count", [(3.0 - 1e-13, 4), (3.5 - 1e-13, 5)])
+def test_scan_and_plot_just_below_a_window_end(tmp_path, xmax, count):
+    # a domain just below an integer or a half-integer takes only the windows
+    # that end inside it, not the one ending 1e-13 past X
+    pot = tmp_path / "miura.json"
+    sl.save(sl.miura(sl.from_poly((0.5, 0.2), 4.0), 0.25), pot)
+    rows = forms.localization_scan(sl.restrict(sl.load(pot), xmax), n=16, angles=16).rows
+    assert len(rows) == count
+    assert all(0.0 <= r.window.a and r.window.b <= xmax for r in rows)
+    out, prefix = tmp_path / "scan.csv", tmp_path / "plot"
+    common = ["--potential", str(pot), "--xmax", repr(xmax), "--mesh", "16", "--angles", "16"]
+    assert main(["scan", *common, "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        windows = [(float(r["window_lo"]), float(r["window_hi"])) for r in csv.DictReader(fh)]
+    assert windows == [(r.window.a, r.window.b) for r in rows]
+    assert main(["plot", *common, "--out", str(prefix)]) == 0
+    assert len((tmp_path / "plot_infmod.csv").read_text().splitlines()) == count + 1
 
 
 def test_plot_range_imaginary_part(tmp_path):

@@ -261,12 +261,12 @@ def test_gauge_consistency_decomposition():
     g = potential._stitch_blocks([gam], [5.0], [amp], 8.0)
     s_only = sl.subtract(s2, sl.miura(g, 0.0))
     win = sl.Interval(5.0, 6.0)
-    extra = tuple(set(s2.breakpoints) | set(g.breakpoints))
-    w_full = forms.assemble(sl.scale(s2, ope), win, 64, extra_breakpoints=extra)
-    w_gauge = forms.assemble(sl.zero(8.0), win, 64,
-                             gauge=(g, ope, ope ** 2 - ope),
-                             extra_breakpoints=extra)
-    w_s = forms.assemble(s_only, win, 64, extra_breakpoints=extra)
+    w_full = forms.assemble(sl.scale(s2, ope), win, 64)
+    w_gauge = forms.assemble(sl.zero(8.0), win, 64, gauge=(g, ope, ope ** 2 - ope))
+    w_s = forms.assemble(s_only, win, 64)
+    # s2, s_only and g break at the same points, so the three share one mesh
+    assert np.array_equal(w_full.nodes, w_gauge.nodes)
+    assert np.array_equal(w_full.nodes, w_s.nodes)
     lhs = w_full.B
     rhs = ope * (-dense(w_s.P_bands)) + w_gauge.B
     assert np.max(np.abs(lhs - rhs)) <= 1e-6 * np.max(np.abs(lhs))
@@ -877,32 +877,25 @@ def test_scan_window_slices_are_bitwise_their_own_assembly(corpus, monkeypatch, 
     # one span per lattice for these domains, or several once the batch is
     # cut to a few windows; an odd mesh puts the half-shifted family on a
     # lattice of its own.  Each span is assembled once and every window,
-    # reciprocal-term ones included, is sliced from it, except a window with
-    # an end that a breakpoint within the grid floor took the place of
+    # reciprocal-term ones and the displaced model's included, is sliced
+    # from it: the breakpoint 1e-9 past the node 2 gives way to that node
     monkeypatch.setattr(quadrature, "BATCH_PANELS", batch)
     displaced = sl.Antiderivative(4.0, (0.0, 2.0 + 1e-9, 4.0),
                                   ((sl.PolyTerm((1.0, 1.0j)),), (sl.PolyTerm((2.0, -0.5)),)))
-    alone_seen = 0
     for name, s in corpus + [("displaced", displaced)]:
         if s.domain_end < 2.0:
             continue
         wins = forms.scan_windows(s.domain_end)
         spans = list(forms._spans(s, wins, n))
         assert len(spans) == (1 if n % 2 == 0 else 2) if batch > 1000 else len(spans) >= 2
-        near = quadrature._GRID_FLOOR / n
-        alone = [(wins[k].a, wins[k].b) for iv, run in spans for k in run
-                 if any(0.0 < abs(t - end) < near for t in s.breakpoints
-                        for end in (wins[k].a, wins[k].b) if iv.a < end < iv.b)]
-        alone_seen += len(alone)
         seen, assembled = _scanned_forms(s, n, monkeypatch)
-        assert sorted(assembled) == sorted([(iv.a, iv.b) for iv, _run in spans] + alone), name
+        assert sorted(assembled) == sorted((iv.a, iv.b) for iv, _run in spans), name
         assert sorted(w.interval.a for w in seen) == [w.a for w in wins]
         for w in seen:
             ref = forms.assemble(s, w.interval, n)
             assert np.array_equal(w.nodes, ref.nodes), (name, w.interval)
             for got, want in zip(w.M_bands + w.B_bands, ref.M_bands + ref.B_bands):
                 assert np.array_equal(got, want), (name, w.interval)
-    assert alone_seen >= 1      # [1, 2] or [2, 3] of the displaced model
     # a power-of-two mesh keeps the nodes numpy.linspace gave before
     assert np.array_equal(quadrature.grid(2.5, 3.5, 128), np.linspace(2.5, 3.5, 129))
 

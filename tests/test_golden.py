@@ -1,4 +1,4 @@
-"""The output ledger: SHA-256 digests of fixed ``analyze`` and ``scan`` outputs.
+"""The output ledger: SHA-256 digests of fixed outputs of every CLI command.
 
 A change meant to leave the results alone must leave these bytes alone.  The
 documents are built in code from fixed seeds, saved, run through the CLI in
@@ -53,6 +53,18 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+#: a model with a breakpoint 1e-9 past the node 2 of every scan lattice
+DISPLACED = sl.Antiderivative(4.0, (0.0, 2.0 + 1e-9, 4.0),
+                              ((sl.PolyTerm((1.0, 1.0j)),), (sl.PolyTerm((2.0, -0.5)),)))
+
+GENERATE = {
+    "delta": ["--kind", "delta", "--positions", "0.5,1.25,3", "--strengths", "1,-0.5i,2+1i"],
+    "miura": ["--kind", "miura", "--gamma-const", "0.7", "--b", "0.25", "--xmax", "6"],
+    "s1-blocks5": ["--kind", "s1", "--blocks", "5"],
+    "s2-blocks2": ["--kind", "s2", "--blocks", "2"],
+}
+
+
 def outputs(workdir: Path) -> dict:
     """Output name -> SHA-256 of the file the CLI wrote."""
     out = {}
@@ -67,6 +79,22 @@ def outputs(workdir: Path) -> dict:
     sl.save(sl.from_poly((0.0, 1.0j, 0.5), 4.0), src)
     _run(["scan", "--potential", src, "--mesh", 32, "--out", workdir / "scan.csv"])
     out["scan x2-ix mesh32 csv"] = _digest(workdir / "scan.csv")
+    _run(["plot", "--potential", src, "--mesh", 32, "--angles", 16, "--out", workdir / "plot"])
+    for series in ("dbl", "growth", "infmod", "range"):
+        out[f"plot x2-ix mesh32 {series} csv"] = _digest(workdir / f"plot_{series}.csv")
+    src = workdir / "displaced.json"
+    sl.save(DISPLACED, src)
+    for mesh in (48, 33):
+        _run(["scan", "--potential", src, "--mesh", mesh, "--out", workdir / "scan.csv"])
+        out[f"scan displaced mesh{mesh} csv"] = _digest(workdir / "scan.csv")
+    for name, argv in GENERATE.items():
+        doc = workdir / f"{name}.generated.json"
+        _run(["generate", *argv, "--out", doc])
+        out[f"generate {name} json"] = _digest(doc)
+    out["generate s2-blocks2 provenance json"] = _digest(
+        workdir / "s2-blocks2.generated.json.provenance.json")
+    _run(["verify", "--seed", 20240801, "--out", workdir / "verify.json"])
+    out["verify seed20240801 json"] = _digest(workdir / "verify.json")
     return out
 
 

@@ -375,13 +375,13 @@ def test_window_edges_keep_breakpoints_clear_of_the_floor(corpus):
 def _grid_nodes(a, b, n, breakpoints):
     """quadrature.grid by its rule, one node at a time."""
     floor = 1e-6 * ((b - a) / n)
-    inside = sorted({t for t in breakpoints if t - a >= floor and b - t >= floor})
-    cells = [c for c in ((a * n + j * (b - a)) / n for j in range(1, n))
-             if all(abs(c - t) >= floor for t in inside)]
-    return [a] + sorted(cells + inside) + [b]
+    cells = [a] + [(a * n + j * (b - a)) / n for j in range(1, n)] + [b]
+    kept = {t for t in breakpoints
+            if a < t < b and all(abs(t - c) >= floor for c in cells)}
+    return sorted(cells + list(kept))
 
 
-def test_grid_makes_every_breakpoint_a_node_and_keeps_the_ends(corpus):
+def test_grid_keeps_the_cell_nodes_and_every_breakpoint_clear_of_them(corpus):
     cases = [(0.0, 1.0, 8, [1e-9, 0.5, 0.5 + 1e-9, 0.6, 1.0 - 1e-9]),
              (0.0, 1.0, 8, [0.125 + 1e-9, 0.25 - 1e-8, 0.375 + 1e-3, 0.625]),
              (0.5, 1.5, 128, [0.0, 0.5, 0.500000001, 3.0])]

@@ -233,3 +233,31 @@ def test_growth_bound_examples():
 def test_growth_bound_not_applicable_on_long_window():
     res = regsolve.growth_bound_check(sl.zero(1.0), sl.Interval(0.0, 0.5))
     assert not res.applicable
+
+
+@pytest.mark.parametrize("jump", [1e-9, 0.5 + 1e-9])
+def test_every_breakpoint_is_a_panel_edge(jump):
+    # the scheme is exact on a panel where s is constant, so on a step
+    # potential whose jump is a panel edge every panel count gives the
+    # 2^14-panel states to rounding, however close the jump lies to a cell
+    # edge (1e-9 from the left end, or from the cell edge 1/2)
+    s = sl.delta_sum([jump], [2.0 - 1.0j], 1.0)
+    win = sl.Interval(0.0, 1.0)
+    ref = regsolve.fundamental_pair(s, win, panels=1 << 14)
+    for panels in (64, 256):
+        pair = regsolve.fundamental_pair(s, win, panels=panels)
+        for got, want in zip(pair, ref):
+            at = want.nodes.searchsorted(got.nodes)
+            assert np.array_equal(want.nodes[at], got.nodes)
+            scale = max(1.0, want.sup_norm())
+            assert np.abs(got.states - want.states[at]).max() <= 1e-11 * scale
+        assert jump in pair[0].nodes
+        assert regsolve.wronskian_defect(*pair) <= 1e-8
+    # a forcing with a jump of its own near a cell edge: both routes take it
+    # as a panel edge and agree
+    f = sl.add(sl.from_poly((1.0, -0.5j), 1.0), sl.delta_sum([0.25 + 1e-9], [3.0], 1.0))
+    a = regsolve.propagate(s, win, regsolve.State(0.0, 0.0), forcing=f, panels=64)
+    b = regsolve.cauchy_apply(s, win, f, panels=64)
+    assert 0.25 + 1e-9 in a.nodes and np.array_equal(a.nodes, b.nodes)
+    scale = max(1.0, float(np.abs(a.states).max()))
+    assert float(np.abs(a.states - b.states).max()) / scale <= 1e-10
