@@ -243,8 +243,9 @@ def herm_lambda_min(w: WindowForm) -> float:
 
 _EPS = float(np.finfo(float).eps)
 #: elements of one (mesh row x column) working array of the rotation sweep;
-#: the sweep runs chunk by chunk and holds about ten such arrays, so its
-#: memory stays near 3 MiB at any angle or window count and meshes up to 512
+#: the sweep runs chunk by chunk and holds at most about twelve such arrays
+#: (eleven in a Laguerre pass, measured at mesh 512), so its memory stays
+#: near 3 MiB at any angle or window count and meshes up to 512
 _CHUNK_ELEMENTS = 1 << 15
 #: fewest columns per chunk: the row loops cost the same for few columns as
 #: for many, so finer meshes trade memory (still linear in the mesh) for time
@@ -257,8 +258,9 @@ _CHUNK_COLUMNS = 64
 _LAGUERRE_PASSES = 5
 #: trial shifts per column in one multisection pass, at most
 _SECTIONS = 15
-#: definiteness passes of the starting bracket, each testing one shift per
-#: column, 4^-j of the way down from the Rayleigh bound to the Gershgorin one
+#: shifts per column of the starting bracket, 4^-j of the way down from the
+#: Rayleigh bound to the Gershgorin one; a chunk of K columns tests
+#: min(_PROBES, _CHUNK_COLUMNS // K) of them per definiteness pass
 _PROBES = 4
 #: backoff in units of eps times the eigenvector-weighted |H| + |x| |M|: the
 #: pivot recurrence's backward error, with room for the rounding of the
@@ -340,38 +342,62 @@ def _laguerre_terms(T, E, m, mo):
     Alongside the twisted pivots d_i of H - x M the recurrence carries
     u_i = d_i'/d_i and v_i = d_i''/d_i (derivatives in x).  G = sum u_i and
     S = sum u_i^2 - v_i equal sum 1/(x - lambda_j) and sum 1/(x - lambda_j)^2
-    over the pencil eigenvalues.  Each row's terms overwrite coupling rows
-    already used, and are summed in row order after the loop.
+    over the pencil eigenvalues.  Row by row run only the three recurrences,
+    with r_i = e_i^2 / d_{i-1} and w_i = 2 e_i mo_i / d_{i-1}:
+
+        d_i = t_i - r_i,
+        u_i = (w_i - m_i + r_i u_{i-1}) / d_i,
+        v_i = (r_i (v_{i-1} - 2 u_{i-1}^2) - C_i) / d_i,
+        C_i = 2 (mo_i^2 / d_{i-1} + w_i u_{i-1});
+
+    every other term is built for all rows at once between the loops, with
+    the expression a fused loop would use, so the bits do not depend on the
+    split.  The work buffers are reused: r overwrites E and w the array W of
+    2 e mo; a second array holds w - m, then C; a third u, then 2 u^2 and v,
+    while W takes u^2 and the summands of S.
     """
     t, e, ms, os = (_stacked(a) for a in (T, E, m, mo))
     W = e * os * 2.0
     e *= e
-    oo = os * os
-    d = t[0]
-    u = -ms[0] / d
-    uu = u * u
-    v = np.zeros_like(d)
-    first = u, uu
     for i in range(1, t.shape[0]):
-        re = e[i - 1] / d
-        w = W[i - 1] / d
-        d1 = w - ms[i] + re * u
-        d2 = re * (v - 2.0 * uu) - 2.0 * (oo[i - 1] / d + w * u)
-        d = np.subtract(t[i], re, out=t[i])
-        u = np.divide(d1, d, out=e[i - 1])
-        v = d2 / d
-        uu = u * u
-        np.subtract(uu, v, out=W[i - 1])
-    # the middle row: both sides' last pivots feed it
-    re = e[-1] / d
-    w = W[-1] / d
-    gam = T[-1] - _fold(re)
-    uk = (_fold(w + re * u) - m[-1]) / gam
-    vk = _fold(re * (v - 2.0 * uu) - 2.0 * (oo[-1] / d + w * u)) / gam
+        np.subtract(t[i], np.divide(e[i - 1], t[i - 1], out=e[i - 1]), out=t[i])
+    # row k - 1 of each stacked term belongs to the middle row, which both
+    # sides' last pivots feed
+    e[-1] /= t[-1]
+    W /= t
+    gam = T[-1] - _fold(e[-1])
     pos = (t > 0).all(0)
-    return (pos[:T.shape[1]] & pos[T.shape[1]:] & (gam > 0),
-            _fold(e[:-1].sum(0) + first[0]) + uk,
-            _fold(W[:-1].sum(0) + first[1]) + (uk * uk - vk))
+    C = np.empty_like(W)
+    np.subtract(W[:-1], ms[1:], out=C[:-1])
+    U = np.empty_like(W)
+    np.divide(-ms[0], t[0], out=U[0])
+    for i in range(1, t.shape[0]):
+        u = np.multiply(e[i - 1], U[i - 1], out=U[i])
+        u += C[i - 1]
+        u /= t[i]
+    uk = (_fold(W[-1] + e[-1] * U[-1]) - m[-1]) / gam
+    G = _fold(U[1:].sum(0) + U[0]) + uk
+    np.multiply(os, os, out=C)
+    C /= t
+    W *= U
+    C += W
+    C *= 2.0
+    np.multiply(U, U, out=W)
+    np.multiply(W, 2.0, out=U)
+    # v_i lands in the row of 2 u_{i-1}^2, the last one it reads
+    v = 0.0
+    for i in range(1, t.shape[0]):
+        v = np.subtract(v, U[i - 1], out=U[i - 1])
+        v *= e[i - 1]
+        v -= C[i - 1]
+        v /= t[i]
+    mid = np.subtract(v, U[-1], out=U[-1])
+    mid *= e[-1]
+    mid -= C[-1]
+    vk = _fold(mid) / gam
+    np.subtract(W[1:], U[:-1], out=W[1:])
+    return (pos[:T.shape[1]] & pos[T.shape[1]:] & (gam > 0), G,
+            _fold(W[1:].sum(0) + W[0]) + (uk * uk - vk))
 
 
 def _pencil_floor(h, ho, m, mo, dims):
@@ -388,7 +414,7 @@ def _pencil_floor(h, ho, m, mo, dims):
     Each column is normalised by the Gershgorin magnitudes of H and M, so no
     intermediate overflows, and bracketed: the Rayleigh quotients of the sine
     vector and its alternating twin bound lambda_1 from above, and
-    ``_PROBES`` definiteness passes test shifts 4^-j of the way from there
+    definiteness passes test ``_PROBES`` shifts 4^-j of the way from there
     down to the Gershgorin bound.  Laguerre's method, whose iterates stay
     below lambda_1 for a real-rooted pencil, steps from the largest shift
     found definite.  Columns still moving after a few passes, or whose step
@@ -426,12 +452,15 @@ def _pencil_floor(h, ho, m, mo, dims):
         for v in (sine, sine * np.where(natural % 2, -1.0, 1.0)):
             hi = np.minimum(hi, _quad(h, ho, v) / _quad(m, mo, v))
         del sine, v
-        top, span = hi, hi - lo
-        for j in range(1, _PROBES + 1):
-            probe = top - span * 0.25 ** j
-            pd = _definite(*_shifted(h, ho, m, mo, probe))
-            lo = np.where(pd, probe, lo)
-            hi = np.minimum(hi, np.where(pd, np.inf, probe))
+        probes = hi - (hi - lo) * 0.25 ** np.arange(1, _PROBES + 1)[:, None]
+        per = max(1, min(_PROBES, _CHUNK_COLUMNS // K))
+        for group in np.split(probes, range(per, _PROBES, per)):
+            tiled = [a if per == 1 else np.tile(a, len(group)) for a in (h, ho, m, mo)]
+            pds = _definite(*_shifted(*tiled, group.ravel())).reshape(group.shape)
+            del tiled
+            for probe, pd in zip(group, pds):
+                lo = np.where(pd, probe, lo)
+                hi = np.minimum(hi, np.where(pd, np.inf, probe))
         x = lo.copy()
 
         # Laguerre phase: at a definite x the eigenvalues put lambda_1 in

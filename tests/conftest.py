@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import slcrit as sl
-from slcrit import quadrature, sampling
+from slcrit import forms, quadrature, sampling
 from slcrit.errors import NumericError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -151,3 +151,47 @@ def corpus():
          ()),
         ((1.0, 0.5 - 0.5j), (2.0, -1.0)))))
     return out
+
+
+def reference_laguerre_terms(T, E, m, mo):
+    """The fused one-loop Laguerre pass: ``forms._laguerre_terms``'s oracle.
+
+    Every row computes all of its terms in one go; the kernel's row-split
+    form must return the same bits.  Overwrites T and E as the kernel does.
+    """
+    _stacked, _fold = forms._stacked, forms._fold
+    t, e, ms, os = (_stacked(a) for a in (T, E, m, mo))
+    W = e * os * 2.0
+    e *= e
+    oo = os * os
+    d = t[0]
+    u = -ms[0] / d
+    uu = u * u
+    v = np.zeros_like(d)
+    first = u, uu
+    for i in range(1, t.shape[0]):
+        re = e[i - 1] / d
+        w = W[i - 1] / d
+        d1 = w - ms[i] + re * u
+        d2 = re * (v - 2.0 * uu) - 2.0 * (oo[i - 1] / d + w * u)
+        d = np.subtract(t[i], re, out=t[i])
+        u = np.divide(d1, d, out=e[i - 1])
+        v = d2 / d
+        uu = u * u
+        np.subtract(uu, v, out=W[i - 1])
+    # the middle row: both sides' last pivots feed it
+    re = e[-1] / d
+    w = W[-1] / d
+    gam = T[-1] - _fold(re)
+    uk = (_fold(w + re * u) - m[-1]) / gam
+    vk = _fold(re * (v - 2.0 * uu) - 2.0 * (oo[-1] / d + w * u)) / gam
+    pos = (t > 0).all(0)
+    return (pos[:T.shape[1]] & pos[T.shape[1]:] & (gam > 0),
+            _fold(e[:-1].sum(0) + first[0]) + uk,
+            _fold(W[:-1].sum(0) + first[1]) + (uk * uk - vk))
+
+
+@pytest.fixture()
+def fused_laguerre():
+    """The ``reference_laguerre_terms`` oracle."""
+    return reference_laguerre_terms

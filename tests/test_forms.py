@@ -715,11 +715,18 @@ MULTISECTION_PASSES = 8.0
 def test_bracket_start_keeps_the_multisection_short(monkeypatch):
     # a column that starts far below lambda_1 only halves its distance per
     # Laguerre pass and leaves tens of bits to the multisection; the counts
-    # are exact, so the bound holds on any machine
-    counts = dict.fromkeys(("_pencil_floor", "_laguerre_terms", "_definite"), 0)
-    for name in counts:
-        def spy(*args, _fn=getattr(forms, name), _name=name):
-            counts[_name] += 1
+    # are exact, so the bound holds on any machine.  A kernel call's
+    # definiteness passes before its first Laguerre pass are bracket probes
+    # (fewer than ``_PROBES`` on a narrow chunk, which groups them), the rest
+    # multisection passes
+    counts = dict.fromkeys(("_pencil_floor", "_laguerre_terms", "probe", "multisection"), 0)
+    phase = ["probe"]
+    for name, after in (("_pencil_floor", "probe"), ("_laguerre_terms", "multisection"),
+                        ("_definite", None)):
+        def spy(*args, _fn=getattr(forms, name), _name=name, _after=after):
+            counts[_name if _after else phase[0]] += 1
+            if _after:
+                phase[0] = _after
             return _fn(*args)
 
         monkeypatch.setattr(forms, name, spy)
@@ -731,7 +738,116 @@ def test_bracket_start_keeps_the_multisection_short(monkeypatch):
     calls = counts["_pencil_floor"]
     assert calls >= 8
     assert counts["_laguerre_terms"] <= forms._LAGUERRE_PASSES * calls
-    assert counts["_definite"] / calls - forms._PROBES <= MULTISECTION_PASSES
+    assert 0 < counts["probe"] <= forms._PROBES * calls
+    assert counts["multisection"] / calls <= MULTISECTION_PASSES
+
+
+# -- the row-split Laguerre pass ----------------------------------------------
+
+
+def _kernel_pencils(windows, thetas):
+    """The pencils of ``_rotation_sweep(windows, thetas)``, normalised as the
+    kernel normalises them, in one block of columns (h, ho, m, mo), with each
+    column's Gershgorin lower bound and the kernel's certified lambda_1."""
+    handed = []
+    kernel = forms._pencil_floor
+
+    def capture(h, ho, m, mo, dims):
+        handed.append([a.copy() for a in (h, ho, m, mo)])
+        lower, vec = kernel(h, ho, m, mo, dims)
+        handed[-1].append(lower)
+        return lower, vec
+
+    forms._pencil_floor = capture
+    try:
+        forms._rotation_sweep(windows, thetas)
+    finally:
+        forms._pencil_floor = kernel
+    h, ho, m, mo, lower = (np.concatenate(parts, -1) for parts in zip(*handed))
+    with np.errstate(all="ignore"):
+        gam_h = forms._gershgorin(h, ho)[0]
+        gam_h[gam_h == 0.0] = 1.0
+        gam_m = forms._gershgorin(m, mo)[0]
+        h, ho, m, mo = h / gam_h, ho / gam_h, m / gam_m, mo / gam_m
+        low, mu = forms._gershgorin(h, ho)[1], forms._gershgorin(m, mo)[1]
+    return (h, ho, m, mo), low / np.where(low >= 0, 1.0, mu), lower * (gam_m / gam_h)
+
+
+def _laguerre_corpus(n):
+    """A step, a Miura and a complex-slope window at mesh n."""
+    rng = np.random.default_rng(n)
+    models = [*_step_models(rng, 1), sl.miura(sampling.random_gamma(rng, domain_end=3.0), 0.0),
+              sl.from_poly((complex(rng.normal(), rng.normal()),
+                            complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))), 3.0)]
+    return [forms.assemble(s, sl.Interval(0.5, 1.5), n) for s in models]
+
+
+def _laguerre_at(fn, pencil, x, cols):
+    """A Laguerre pass ``fn`` on columns ``cols`` of the pencil at shifts x."""
+    h, ho, m, mo = (a[:, cols] for a in pencil)
+    with np.errstate(all="ignore"):
+        return fn(*forms._shifted(h, ho, m, mo, x[cols]), m, mo)
+
+
+def test_row_split_laguerre_matches_the_fused_loop_bitwise(fused_laguerre):
+    # every output, nan included, at the bracket's ends, just below lambda_1
+    # and past it; 1 to 300 columns, both parities of the mesh
+    verdicts = set()
+    for n in (32, 33, 128, 512):
+        pencil, lo, lam = _kernel_pencils(_laguerre_corpus(n), forms._rotations(100))
+        shifts = (lo, 0.5 * (lo + lam), lam - 1e-9, lam + 1e-6)
+        rng = np.random.default_rng(n)
+        for K in (1, 2, 13, 64, 152, 300):
+            cols = np.sort(rng.choice(300, K, replace=False))
+            for x in shifts:
+                new, ref = (_laguerre_at(fn, pencil, x, cols)
+                            for fn in (forms._laguerre_terms, fused_laguerre))
+                for a, b in zip(new, ref):
+                    assert np.array_equal(a, b, equal_nan=True)
+                verdicts.update(new[0].tolist())
+        assert not _laguerre_at(forms._laguerre_terms, pencil, shifts[-1], np.arange(300))[0].any()
+    assert verdicts == {True, False}
+
+
+def test_row_split_laguerre_matches_the_fused_loop_in_a_scan(monkeypatch, fused_laguerre):
+    # the shifts the kernel itself visits, on the scan's own pencils
+    kernel, calls = forms._laguerre_terms, []
+
+    def both(T, E, m, mo):
+        ref = fused_laguerre(T.copy(), E.copy(), m, mo)
+        new = kernel(T, E, m, mo)
+        calls.append(all(np.array_equal(a, b, equal_nan=True) for a, b in zip(new, ref)))
+        return new
+
+    monkeypatch.setattr(forms, "_laguerre_terms", both)
+    rng = np.random.default_rng(43)
+    for s in (*_step_models(rng, 1), sl.miura(sampling.random_gamma(rng, domain_end=3.0), 0.0),
+              sl.from_poly((0.3, 1j, 0.2 + 0.1j), 3.0)):
+        forms.localization_scan(s, n=33)
+    assert len(calls) >= 9 and all(calls)
+
+
+def test_laguerre_terms_match_the_dense_spectrum():
+    # G = sum 1/(x - lambda_j) and S = sum 1/(x - lambda_j)^2 at definite
+    # shifts, against dense eigh of the pencil rebuilt in natural order
+    for n in (32, 33, 48):
+        pencil, lo, lam = _kernel_pencils(_laguerre_corpus(n), forms._rotations(16))
+        N, K = pencil[0].shape
+        assert N <= 65
+        order = forms._twist(N)[0]
+        for x in (lo, 0.5 * (lo + lam)):
+            pd, G, S = _laguerre_at(forms._laguerre_terms, pencil, x, np.arange(K))
+            assert pd.sum() >= K // 2
+            for k in np.flatnonzero(pd):
+                H, M = (np.empty((N, N)) for _ in range(2))
+                for dense, diag, off in ((H, *pencil[:2]), (M, *pencil[2:])):
+                    dense[np.ix_(order, order)] = forms._apply(
+                        diag[:, k:k + 1], off[:, k:k + 1], np.eye(N))
+                    assert np.array_equal(dense, np.tril(np.triu(dense, -1), 1))
+                    assert np.array_equal(dense, dense.T)
+                poles = x[k] - scipy.linalg.eigh(H, M, eigvals_only=True)
+                assert G[k] == pytest.approx(np.sum(1.0 / poles), rel=1e-9)
+                assert S[k] == pytest.approx(np.sum(1.0 / poles ** 2), rel=1e-9)
 
 
 def test_real_windows_certified_at_both_ends_of_the_range():
