@@ -286,6 +286,8 @@ def main(argv=None) -> int:
         xmax = getattr(args, "xmax", None)
         if xmax is not None and not (math.isfinite(xmax) and xmax > 0.0):
             raise ValidationError(f"--xmax {xmax} must be finite and positive")
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed {args.seed} must be non-negative")
         return args.fn(args)
     except (ValidationError, DomainError, UnsupportedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

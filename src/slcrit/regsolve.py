@@ -14,16 +14,17 @@ which needs nothing smoother than those two moments.  Omega^2 = w^2 * I with
 w^2 = S1^2 - h*S2, so exp(Omega) = cosh(w) I + sinhc(w) Omega in closed form.
 The scheme is second-order accurate in the panel width, exact when s is
 constant on the panel (there the true system matrix is nilpotent), and has
-unit determinant, so the fundamental pair keeps its Wronskian exactly.
+unit determinant.  The rounded product of the transfers does not keep the
+Wronskian exactly; its defect is bounded by the tests and by ``verify``.
 Every breakpoint inside the interval is a panel edge, with no floor; the
 state (y, y1) is continuous across jumps of s by the regularization
 contract, so no impulse handling is needed.
 
 One kernel, ``_transfers``, builds these exponentials for any array of
 segments at once (whole panels, panel heads and panel tails alike), and one
-march, ``_march``, chains them.  Marching the identity gives both columns of
-the fundamental matrix in one pass; the march is also the single place where
-overflow is detected.
+march, ``_march``, chains them in blocks of about sqrt(n) panels.  Marching
+the identity gives both columns of the fundamental matrix in one pass; the
+march is also the single place where overflow is detected.
 """
 
 from __future__ import annotations
@@ -119,14 +120,27 @@ def _march(T: np.ndarray, init: np.ndarray, drive: np.ndarray = None) -> np.ndar
     """states[k+1] = T[k] @ states[k] - drive[k] from states[0] = init.
 
     ``init`` is a state vector or the 2x2 identity (then the states are the
-    cumulative transfer products).
+    cumulative transfer products).  A drive acts as the homogeneous maps
+    [[T[k], -drive[k]], [0, 1]] on (state, 1).  Blocks of about sqrt(n) maps
+    run side by side, then chain in order (Kogge and Stone 1973).
     """
-    states = np.empty((T.shape[0] + 1,) + np.shape(init), dtype=complex)
-    states[0] = init
-    for k in range(T.shape[0]):
-        states[k + 1] = T[k] @ states[k]
-        if drive is not None:
-            states[k + 1] -= drive[k]
+    n, shape = T.shape[0], np.shape(init)
+    start = np.reshape(init, (2, -1))
+    if drive is not None:
+        T = np.block([[T, -drive[:, :, None]], [np.zeros((n, 1, 2)), np.ones((n, 1, 1))]])
+        start = np.vstack([start, np.ones(start.shape[1])])
+    m, b = T.shape[1], int(n ** 0.5) + 1
+    # run[j, :, :, i] is the product of the first j maps of block i; states 0..n fill the blocks
+    maps = np.concatenate([T, np.broadcast_to(np.eye(m), (b - n % b, m, m))]).reshape(-1, b, m, m)
+    run = np.empty((b + 1, m, m, maps.shape[0]), dtype=complex)
+    run[0] = np.eye(m)[:, :, None]
+    for j in range(b):
+        np.einsum("kij,jlk->ilk", maps[:, j], run[j], out=run[j + 1])
+    starts = [start]
+    for i in range(maps.shape[0] - 1):
+        starts.append(run[b, :, :, i] @ starts[-1])
+    inner = (run[:b, :2, :, None] * np.stack(starts).transpose(1, 2, 0)).sum(2)
+    states = inner.transpose(3, 0, 1, 2).reshape((-1,) + shape)[:n + 1]
     if not np.all(np.isfinite(states)):
         raise NumericError("trajectory overflowed; reduce the interval or panels")
     return states

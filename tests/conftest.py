@@ -195,3 +195,26 @@ def reference_laguerre_terms(T, E, m, mo):
 def fused_laguerre():
     """The ``reference_laguerre_terms`` oracle."""
     return reference_laguerre_terms
+
+
+def reference_march(T, init, drive=None):
+    """The sequential march, one transfer at a time: ``regsolve._march``'s oracle.
+
+    states[k+1] = T[k] @ states[k] - drive[k] from states[0] = init; raises
+    NumericError when a state is not finite.
+    """
+    states = np.empty((T.shape[0] + 1,) + np.shape(init), dtype=complex)
+    states[0] = init
+    for k in range(T.shape[0]):
+        states[k + 1] = T[k] @ states[k]
+        if drive is not None:
+            states[k + 1] -= drive[k]
+    if not np.all(np.isfinite(states)):
+        raise NumericError("trajectory overflowed; reduce the interval or panels")
+    return states
+
+
+@pytest.fixture()
+def sequential_march():
+    """The ``reference_march`` oracle."""
+    return reference_march

@@ -206,6 +206,14 @@ def test_verify_failure_exit_code(monkeypatch):
     assert main(["verify"]) == 1
 
 
+def test_verify_refuses_a_negative_seed_before_any_suite(monkeypatch, capsys):
+    monkeypatch.setattr(cli.verify, "run_all", lambda seed: pytest.fail("a suite ran"))
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed -1 must be non-negative\n"
+
+
 def test_plot_outputs(tmp_path, quadratic_file):
     prefix = tmp_path / "plot"
     assert main(["plot", "--potential", quadratic_file, "--mesh", "48",

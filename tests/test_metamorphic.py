@@ -2,11 +2,12 @@
 
 Adding a constant to s leaves the modelled operator unchanged, and
 conjugating s conjugates it.  So the window deviation, the double integral,
-the verdict and the window forms' bounds must not move under s -> s + c, and
-the deviation and the scan bounds must not move under s -> conj(s).  Moving a window along
-x^2/2 adds the shift to q = x, so it adds the shift to every eigenvalue.  Documents are drawn by ``hypothesis`` under one
-fixed, derandomized profile, so every run checks the same examples; each
-relation states its tolerance and why.
+the verdict, the window forms' bounds and the growth bound must not move
+under s -> s + c, and the deviation and the scan bounds must not move under
+s -> conj(s).  Moving a window along x^2/2 adds the shift to q = x, so it
+adds the shift to every eigenvalue.  Documents are drawn by ``hypothesis``
+under one fixed, derandomized profile, so every run checks the same examples;
+each relation states its tolerance and why.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import slcrit as sl
-from slcrit import criteria, forms, potential, sampling
+from slcrit import criteria, forms, potential, regsolve, sampling
 
 PROFILE = settings(max_examples=30, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -238,6 +239,20 @@ def test_offset_moves_partition_forms_by_model_rounding_only(doc, c, seed):
     assert abs(rep1.lhs - rep.lhs) <= bound, (abs(rep1.lhs - rep.lhs), bound)
     assert abs(rep1.rhs - rep.rhs) <= bound, (abs(rep1.rhs - rep.rhs), bound)
     assert (rep1.correction, rep1.norm_sq) == (rep.correction, rep.norm_sq)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e2, 1e4, 1e6, 1e8, 3.7 + 2.0j])
+def test_offset_keeps_the_growth_bound(c):
+    # growth_bound_check integrates s minus its best constant, and s + c has
+    # the best constant shifted by c: only the rounding of that constant, of
+    # relative size eps |c|, reaches M (about 2 eps (1 + |c|) at c = 1 and
+    # 1.1e-9 at c = 1e8 on these draws)
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        s, win = sampling.random_growth_case(rng)
+        M = regsolve.growth_bound_check(s, win).M
+        moved = regsolve.growth_bound_check(potential.offset(s, c), win).M
+        assert abs(moved - M) <= 16.0 * EPS * (1.0 + abs(c)) * M, (moved, M)
 
 
 POWERS_OF_TWO = [0.25, 2.0, 1024.0]

@@ -150,14 +150,6 @@ def test_fundamental_pair_matches_propagate():
         assert np.abs(pair.states - ref.states).max() <= 1e-13 * scale
 
 
-def test_cauchy_apply_overflow_raises():
-    s = sl.from_poly((0.0, 1e6j), 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError):
-            regsolve.cauchy_apply(s, sl.Interval(0.0, 1.0),
-                                  sl.from_poly((1.0,), 1.0), panels=256)
-
-
 def test_wronskian_invariant():
     rng = np.random.default_rng(31)
     for _ in range(5):
@@ -261,3 +253,47 @@ def test_every_breakpoint_is_a_panel_edge(jump):
     assert 0.25 + 1e-9 in a.nodes and np.array_equal(a.nodes, b.nodes)
     scale = max(1.0, float(np.abs(a.states).max()))
     assert float(np.abs(a.states - b.states).max()) / scale <= 1e-10
+
+
+MARCH_LENGTHS = (1, 2, 3, 15, 16, 17, 255, 256, 257, 1024, 1031)
+
+
+def _model_transfers(s, n):
+    """The first n panel transfers of s on [0, X] at n panels."""
+    edges = regsolve._grid(s, sl.Interval(0.0, s.domain_end), n)
+    return regsolve._transfers(s, edges[:-1], edges[1:])[:n]
+
+
+def test_blocked_march_matches_the_sequential_oracle(sequential_march):
+    # every block length, with a ragged last block or none, on near-identity
+    # maps and on the transfers of random and step models; the fundamental
+    # (identity start), a free state and a forced state
+    rng = np.random.default_rng(47)
+    models = [sl.scale(sampling.random_antiderivative(rng, domain_end=1.0), 3.0),
+              sampling.random_step_potential(rng)]
+    for n in MARCH_LENGTHS:
+        noise = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        maps = [np.eye(2) + 0.05 * noise] + [_model_transfers(s, n) for s in models]
+        drive = 0.1 * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+        for T in maps:
+            for args in ((np.eye(2),), ((0.5 - 0.2j, 1.0 + 0.3j),),
+                         ((0.5 - 0.2j, 1.0 + 0.3j), drive), ((0.0, 0.0), drive)):
+                want = sequential_march(T, *args)
+                got = regsolve._march(T, *args)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("route", ["cauchy_apply", "fundamental_pair", "propagate"])
+def test_overflow_raises_with_either_march(route, sequential_march, monkeypatch):
+    s = sl.from_poly((0.0, 1e6j), 1.0)
+    win, f = sl.Interval(0.0, 1.0), sl.from_poly((1.0,), 1.0)
+    run = {"cauchy_apply": lambda: regsolve.cauchy_apply(s, win, f),
+           "fundamental_pair": lambda: regsolve.fundamental_pair(s, win),
+           "propagate": lambda: regsolve.propagate(s, win, regsolve.State(0.0, 0.0), forcing=f)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            run[route]()
+        monkeypatch.setattr(regsolve, "_march", sequential_march)
+        with pytest.raises(NumericError):
+            run[route]()
