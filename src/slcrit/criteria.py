@@ -110,17 +110,20 @@ class Verdict:
 # -- window functionals ------------------------------------------------------
 
 
-def window_deviations(s: Antiderivative, origins, a: float):
-    """(c_min, dev, dbl) arrays over the windows [x, x+a], x in origins.
+def window_deviations(s, origins, a):
+    """(c_min, dev, dbl) arrays over the windows [x, x+a], x in origins, of
+    one model s or of the model s[i] each; a is one length or one per window.
 
     c_min = (int s)/a minimises int |s - c|^2; dev is that minimum; dbl is the
     double integral of |s(xi)-s(eta)|^2 over the window square, equal to
     2*a*dev.  The two-sided bound a*dev <= dbl <= 4*a*dev holds by
     construction.  All windows share one centred pass
     (``potential.window_moments``), which takes dev from the moments of s
-    less a reference, so a large mean does not cancel against itself.
+    less a reference, so a large mean does not cancel against itself; each
+    window's numbers are bitwise those of ``window_deviation``.
     """
-    if not a > 0:
+    a = a if np.isscalar(a) else np.asarray(a, dtype=float)
+    if not (a > 0 if np.isscalar(a) else (a > 0).all()):
         raise DomainError("window length must be positive")
     origins = np.atleast_1d(np.asarray(origins, dtype=float))
     m0, _q2, dev = potential.window_moments(s, origins, origins + a)

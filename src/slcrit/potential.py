@@ -219,7 +219,8 @@ class Antiderivative:
         """The packed pieces, built on first evaluation: ``coef[k]`` holds
         c_k of every piece, reciprocal slot j holds the amplitude and pole of
         the j-th reciprocal term of every piece that has one (pole NaN in the
-        others), and ``nrecip`` counts the slots each piece uses."""
+        others), ``nrecip`` counts the slots each piece uses and ``jump`` is
+        the cumulative jump offset in force on each piece."""
         cubics = [piece[0].coeffs if piece and isinstance(piece[0], PolyTerm) else ()
                   for piece in self.pieces]
         recips = [piece[1:] if cubic else piece for piece, cubic in zip(self.pieces, cubics)]
@@ -231,14 +232,15 @@ class Antiderivative:
         pole = np.asarray([[t.pole for t in r] + [np.nan] * (slots - len(r)) for r in recips],
                           dtype=float).reshape(n, slots)
         return (coef.T.copy(), amp.T.copy(), pole.T.copy(),
-                np.asarray([len(r) for r in recips]))
+                np.asarray([len(r) for r in recips]),
+                self._jump_cum[self._jump_locs.searchsorted(self._bp_arr[:-1], side="right")])
 
     # -- evaluation -------------------------------------------------------
 
     def _pieces_at(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Term sum of piece idx[i] at x[i]: Horner on the gathered cubic, then
         one masked pass per reciprocal slot, in the order of the terms."""
-        coef, amps, poles, nrecip = self._table
+        coef, amps, poles, nrecip, _jump = self._table
         c = coef[:, idx]
         out = c[3] * x + c[2]
         out = out * x + c[1]
@@ -321,36 +323,67 @@ def _horner_shift(c: np.ndarray, z: np.ndarray) -> tuple:
     return b0, e1, c[3] * z + e2, c[3]
 
 
-def centred_integrals(s: Antiderivative, edges, first, refs, origins, rows) -> tuple:
+def _keys(s) -> np.ndarray:
+    """The inner breakpoints of one model, or of one model per window as the
+    complex keys i + 1j x, which sort by window i, then by x: a search for
+    i + 1j x meets window i's own breakpoints only."""
+    if isinstance(s, Antiderivative):
+        return s._bp_arr[1:-1]
+    return np.concatenate([i + 1j * m._bp_arr[1:-1] for i, m in enumerate(s)] or [()])
+
+
+def _pieces(s) -> tuple:
+    """Piece table of one model, or of one model per window side by side
+    (reciprocal slots padded to the widest), and the map from points x of
+    windows w (by default window i holds x_i) to their piece indices in it
+    (``_keys``)."""
+    keys = _keys(s)
+    if isinstance(s, Antiderivative):
+        return s._table, lambda x, _w=None: keys.searchsorted(x, side="right")
+    tables = [m._table for m in s]
+    slots = max(len(t[1]) for t in tables)
+    def padded(k, fill):
+        return np.hstack([np.vstack([t[k], np.full((slots - len(t[k]), t[k].shape[1]), fill)])
+                          for t in tables])
+    table = (np.hstack([t[0] for t in tables]), padded(1, 0j), padded(2, np.nan),
+             *(np.concatenate([t[k] for t in tables]) for k in (3, 4)))
+    def piece_at(x, w=None):
+        # window w has one key fewer than pieces, so its keys start w short
+        w = np.arange(x.size) if w is None else w
+        return keys.searchsorted(w + 1j * x, side="right") + w
+    return table, piece_at
+
+
+def centred_integrals(s, edges, first, refs, origins, rows) -> tuple:
     """Integrals of ``rows(v, t, r, window)`` over the windows of a batch, and r.
 
-    ``edges``/``first`` are the windows' segment runs as ``window_edges``
-    gives them.  Window i's reference r_i is the polynomial part of s plus
-    its cumulative jumps at the point ``refs[i]`` (reciprocal terms left out,
-    so r stays finite next to a pole).  Every segment's cubic is
-    Taylor-shifted to ``refs[i]`` by synthetic division, its jump added and
-    r_i taken off its constant term with the same Horner steps that gave
-    r_i, so a large mean cancels once per segment, in coefficient space; the
-    cubic is then shifted to t = x - ``origins[i]`` (a shift by 0 is exact).
-    v = s - r is evaluated once on the graded cells of every segment
-    (``quadrature.graded_cells``), the reciprocal terms from pole-relative
-    abscissae, and ``rows`` maps v, t, r and the window index (a column per
-    cell) to the integrands, each integrated by ``quadrature.window_sums``.
-    Returns the list of per-window integrals and r.
+    ``s`` is one model, or one model per window.  ``edges``/``first`` are
+    the windows' segment runs as ``window_edges`` gives them.  Window i's
+    reference r_i is the polynomial part of its model plus the cumulative
+    jump at the point ``refs[i]`` (reciprocal terms left out, so r stays
+    finite next to a pole).  Every segment's piece comes by index from the
+    table (``_pieces``): its cubic is Taylor-shifted to ``refs[i]`` by
+    synthetic division, its jump added and r_i taken off its constant term
+    with the same Horner steps that gave r_i, so a large mean cancels once
+    per segment, in coefficient space; the cubic is then shifted to
+    t = x - ``origins[i]`` (a shift by 0 is exact).  v = s - r is evaluated
+    once on the graded cells of every segment (``quadrature.graded_cells``),
+    the reciprocal terms from pole-relative abscissae, and ``rows`` maps v,
+    t, r and the window index (a column per cell) to the integrands, each
+    integrated by ``quadrature.window_sums``.  Returns the list of
+    per-window integrals and r.
     """
-    coef, amps, poles, nrecip = s._table
-    inner = s._bp_arr[1:-1]
-    ref_poly = _horner_shift(coef[:, inner.searchsorted(refs, side="right")], refs)[0]
-    ref_jump = s._jump_cum[s._jump_locs.searchsorted(refs, side="right")]
+    (coef, amps, poles, nrecip, jumps), piece_at = _pieces(s)
+    ref_piece = piece_at(refs)
+    ref_poly = _horner_shift(coef[:, ref_piece], refs)[0]
+    ref_jump = jumps[ref_piece]
 
     lo, hi, window = quadrature.panels(edges, first)
-    mid = 0.5 * (lo + hi)
-    piece = inner.searchsorted(mid, side="right")
+    piece = piece_at(0.5 * (lo + hi), window)
     b0, b1, b2, b3 = _horner_shift(coef[:, piece], refs[window])
     # the offset cancels here, once per segment: the same Horner steps give
     # b0 and ref_poly on the piece at the reference point
-    jump = s._jump_cum[s._jump_locs.searchsorted(mid, side="right")]
-    b0 = (b0 - ref_poly[window]) + (jump - ref_jump[window])
+    b0 = (b0 - ref_poly[window]) + (jumps[piece] - ref_jump[window])
     z = origins[window]
     b0, b1, b2, b3 = _horner_shift((b0, b1, b2, b3), z - refs[window])
 
@@ -375,9 +408,10 @@ def _moment_rows(v, t, r, _window):
     return v, v.real ** 2 + v.imag ** 2
 
 
-def window_moments(s: Antiderivative, starts, ends) -> tuple:
+def window_moments(s, starts, ends) -> tuple:
     """Moments m0 = int s, q2 = int |s|^2 and dev = min_c int |s - c|^2 over
-    every window [starts_i, ends_i].
+    every window [starts_i, ends_i], of one model ``s`` or of the model
+    ``s[i]`` each.
 
     ``centred_integrals``, with each window's centre as reference point and
     origin, gives M = int (s - r) and Q = int |s - r|^2 (16 points per cell
@@ -385,16 +419,23 @@ def window_moments(s: Antiderivative, starts, ends) -> tuple:
     q2 = Q + 2 Re(conj(r) M) + a |r|^2 and dev = Q - |M|^2 / a, so the mean
     never cancels against itself.  The windows go in batches of at most
     ``quadrature.BATCH_PANELS`` segments, which bounds the memory of a pass;
-    each window's values do not depend on its batch-mates.  Raises
-    NumericError on a non-finite centred integrand.  Returns the arrays
-    (m0, q2, dev).
+    each window's values do not depend on its batch-mates, nor on whether
+    they share its model, so they are bitwise those of a one-window call.
+    Raises NumericError on a non-finite centred integrand.  Returns the
+    arrays (m0, q2, dev).
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     ends = np.atleast_1d(np.asarray(ends, dtype=float))
-    if starts.size and not (starts.min() >= 0.0 and ends.max() <= s.domain_end):
-        raise DomainError(f"windows outside [0, {s.domain_end}]: "
-                          f"[{starts.min()}, {ends.max()}]")
-    edges, first = quadrature.window_edges(starts, ends, s.breakpoints)
+    one = isinstance(s, Antiderivative)
+    if not one and len(s) != starts.size:
+        raise ValidationError(f"{len(s)} models for {starts.size} windows")
+    X = s.domain_end if one else np.asarray([m.domain_end for m in s])
+    inside = (starts >= 0.0) & (ends <= X)
+    if not inside.all():
+        i = np.flatnonzero(~inside)[0]
+        raise DomainError(f"window [{starts[i]}, {ends[i]}] outside [0, {X if one else X[i]}]")
+    edges, first = quadrature.window_edges(starts, ends, _keys(s),
+                                           None if one else np.arange(starts.size))
     sums = first - np.arange(first.size)    # each window's first segment
     centre = 0.5 * (starts + ends)
     M = np.empty(first.size, dtype=complex)
@@ -406,7 +447,8 @@ def window_moments(s: Antiderivative, starts, ends) -> tuple:
         hi = max(lo + 1, int(sums.searchsorted(sums[lo] + quadrature.BATCH_PANELS)))
         cut = edges[first[lo]:first[hi] if hi < first.size else None]
         (M[lo:hi], Q[lo:hi]), r[lo:hi] = centred_integrals(
-            s, cut, first[lo:hi] - first[lo], centre[lo:hi], centre[lo:hi], _moment_rows)
+            s if one else s[lo:hi], cut, first[lo:hi] - first[lo], centre[lo:hi],
+            centre[lo:hi], _moment_rows)
         lo = hi
     a = ends - starts
     with np.errstate(over="ignore"):    # |r|^2 may overflow where |s - r|^2 does not

@@ -56,22 +56,25 @@ _GRID_FLOOR = 1e-6
 BATCH_PANELS = 1 << 14
 
 
-def window_edges(starts, ends, breakpoints) -> tuple:
+def window_edges(starts, ends, breakpoints, owner=None) -> tuple:
     """Panel edges of the windows [starts_i, ends_i], all in one array.
 
     ``breakpoints`` must be increasing.  Window i contributes the run
     ``starts_i, breakpoints strictly inside, ends_i``; returns the
-    concatenated runs and the index where each run begins.
+    concatenated runs and the index where each run begins.  With ``owner``,
+    the breakpoints are sorted complex keys w + 1j x, and window i takes
+    only the x keyed w = owner_i.
     """
     a = np.asarray(starts, dtype=float).ravel()
     b = np.asarray(ends, dtype=float).ravel()
     if not (b > a).all():
         i = np.flatnonzero(~(b > a))[0]
         raise DomainError(f"empty integration interval [{a[i]}, {b[i]}]")
-    bp = np.asarray(breakpoints, dtype=float)
+    bp = np.asarray(breakpoints, dtype=float if owner is None else complex)
+    key = (lambda x: x) if owner is None else (lambda x: owner + 1j * x)
     # the breakpoints strictly inside each window, window by window
-    i0 = bp.searchsorted(a, side="right")
-    count = bp.searchsorted(b, side="left") - i0
+    i0 = bp.searchsorted(key(a), side="right")
+    count = bp.searchsorted(key(b), side="left") - i0
     before = count.cumsum() - count
     k = np.arange(count.sum()) + np.repeat(i0 - before, count)
     first = 2 * np.arange(a.size) + before
@@ -80,7 +83,7 @@ def window_edges(starts, ends, breakpoints) -> tuple:
     edges[first + count + 1] = b
     runs = np.ones(edges.size, dtype=bool)
     runs[first] = runs[first + count + 1] = False
-    edges[runs] = bp[k]
+    edges[runs] = bp[k] if owner is None else bp[k].imag
     return edges, first
 
 

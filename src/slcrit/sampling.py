@@ -54,25 +54,34 @@ def random_window(rng, s: Antiderivative, min_len: float = 0.3,
     return Interval(x, x + a)
 
 
-def random_growth_case(rng) -> tuple[Antiderivative, Interval]:
-    """Potential and short window meeting the growth-bound hypotheses.
+def random_growth_cases(rng, count: int) -> list:
+    """``count`` potentials, each with a short window meeting the
+    growth-bound hypotheses.
 
-    The window is shorter than 1/8 and the potential is rescaled so its
-    best-constant deviation over the window sits strictly below 1/8.
+    Each window is shorter than 1/8 and its potential is rescaled so its
+    best-constant deviation over the window sits strictly below 1/8.  The
+    cases are drawn in turn; one pass (``criteria.window_deviations``) then
+    takes every window's deviation.  Returns (potential, window) pairs.
     """
     rng = _rng(rng)
-    length = rng.uniform(0.03, 0.124)
-    x0 = rng.uniform(0.0, 1.5)
-    s = random_antiderivative(rng, domain_end=2.0,
-                              pieces=int(rng.integers(2, 6)),
-                              jumps=int(rng.integers(0, 3)),
-                              amplitude=rng.uniform(0.5, 4.0))
-    window = Interval(x0, x0 + length)
-    _c, dev, _dbl = criteria.window_deviation(s, window.a, length)
-    target = rng.uniform(0.005, 0.12)
-    if dev > 1e-12:
-        s = potential.scale(s, np.sqrt(target / dev))
-    return s, window
+    draws = []
+    for _ in range(count):
+        length = rng.uniform(0.03, 0.124)
+        x0 = rng.uniform(0.0, 1.5)
+        s = random_antiderivative(rng, domain_end=2.0,
+                                  pieces=int(rng.integers(2, 6)),
+                                  jumps=int(rng.integers(0, 3)),
+                                  amplitude=rng.uniform(0.5, 4.0))
+        draws.append((s, x0, length, rng.uniform(0.005, 0.12)))
+    models, x0, length, target = zip(*draws) if draws else ((),) * 4
+    devs = criteria.window_deviations(models, x0, length)[1].tolist()
+    return [(potential.scale(s, np.sqrt(t / dev)) if dev > 1e-12 else s, Interval(x, x + a))
+            for s, x, a, t, dev in zip(models, x0, length, target, devs)]
+
+
+def random_growth_case(rng) -> tuple[Antiderivative, Interval]:
+    """One potential and window of ``random_growth_cases``."""
+    return random_growth_cases(rng, 1)[0]
 
 
 def random_gamma(rng, domain_end: float = 4.0, pieces: int = 4,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, forms, potential, regsolve, sampling
-from .errors import NumericError
+from .errors import NumericError, ValidationError
 from .potential import Interval
 
 
@@ -34,45 +34,65 @@ class SuiteResult:
         return msg
 
 
-def variance_identity_suite(seed: int, cases: int = 50) -> SuiteResult:
-    """window_deviation.dbl vs the brute-force tensor double integral."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    detail = ""
-    for k in range(cases):
+def _seeded(seed: int, **counts) -> np.random.Generator:
+    """The suite's generator, once every count is found to be at least 1."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValidationError(f"{name}={count} must be at least 1")
+    return np.random.default_rng(seed)
+
+
+def _result(name: str, cases: int, worst: float, tolerance: float, detail: str) -> SuiteResult:
+    """A suite passes when it checked a case and the worst one is within tolerance."""
+    return SuiteResult(name, cases > 0 and worst <= tolerance, cases, worst, tolerance,
+                       detail if cases else "no case was checked")
+
+
+def _window_corpus(seed: int, cases: int) -> tuple:
+    """``cases`` random models, each with a window [x, x + a], drawn in turn,
+    and every window's (dev, dbl) from one pass over all of them."""
+    rng = _seeded(seed, cases=cases)
+    corpus = []
+    for _ in range(cases):
         s = sampling.random_antiderivative(rng)
         win = sampling.random_window(rng, s)
-        _c, _dev, dbl = criteria.window_deviation(s, win.a, win.length)
-        brute = criteria.dbl_bruteforce(s, win.a, win.length, n=16)
+        corpus.append((s, win.a, win.length))
+    _c, dev, dbl = criteria.window_deviations(*zip(*corpus))
+    return corpus, dev.tolist(), dbl.tolist()
+
+
+def variance_identity_suite(seed: int, cases: int = 50) -> SuiteResult:
+    """window_deviation.dbl vs the brute-force tensor double integral."""
+    corpus, _devs, dbls = _window_corpus(seed, cases)
+    worst = 0.0
+    detail = ""
+    for k, ((s, x, a), dbl) in enumerate(zip(corpus, dbls)):
+        brute = criteria.dbl_bruteforce(s, x, a, n=16)
         # relative at O(1) scale and above, absolute 1e-8 below it
         rel = abs(dbl - brute) / max(abs(brute), 1.0)
         if rel > worst:
             worst = rel
             detail = f"case {k}: dbl={dbl!r} brute={brute!r}"
-    return SuiteResult("variance_identity", worst <= 1e-8, cases, worst, 1e-8, detail)
+    return _result("variance_identity", cases, worst, 1e-8, detail)
 
 
 def two_sided_suite(seed: int, cases: int = 50) -> SuiteResult:
     """a*dev <= dbl <= 4*a*dev with slack >= -1e-9 relative."""
-    rng = np.random.default_rng(seed)
+    corpus, devs, dbls = _window_corpus(seed, cases)
     worst = 0.0
     detail = ""
-    for k in range(cases):
-        s = sampling.random_antiderivative(rng)
-        win = sampling.random_window(rng, s)
-        a = win.length
-        _c, dev, dbl = criteria.window_deviation(s, win.a, a)
+    for k, ((_s, _x, a), dev, dbl) in enumerate(zip(corpus, devs, dbls)):
         scale = max(dbl, a * dev, 1.0)
         slack = max(a * dev - dbl, dbl - 4.0 * a * dev) / scale
         if slack > worst:
             worst = slack
             detail = f"case {k}: a*dev={a * dev!r} dbl={dbl!r}"
-    return SuiteResult("two_sided", worst <= 1e-9, cases, worst, 1e-9, detail)
+    return _result("two_sided", cases, worst, 1e-9, detail)
 
 
 def partition_identity_suite(seed: int, bumps: int = 10, potentials: int = 5) -> SuiteResult:
     """Overlapping-window identity: residual and correction ceiling."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed, bumps=bumps, potentials=potentials)
     X = 4.0
     pots = [potential.zero(X),
             potential.from_poly((0.0, 1.0), X),
@@ -94,17 +114,15 @@ def partition_identity_suite(seed: int, bumps: int = 10, potentials: int = 5) ->
             if excess > worst:
                 worst = excess
                 detail = f"bump {b} on potential {i}: residual={rep.residual:.3e}"
-    return SuiteResult("partition_identity", worst <= 1e-6, count, worst, 1e-6, detail)
+    return _result("partition_identity", count, worst, 1e-6, detail)
 
 
 def growth_bound_suite(seed: int, cases: int = 100) -> SuiteResult:
     """Fundamental-pair sup bound M <= 2 on qualifying short windows."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     detail = ""
     used = 0
-    for k in range(cases):
-        s, win = sampling.random_growth_case(rng)
+    for k, (s, win) in enumerate(sampling.random_growth_cases(_seeded(seed, cases=cases), cases)):
         try:
             res = regsolve.growth_bound_check(s, win)
         except NumericError as exc:
@@ -116,12 +134,12 @@ def growth_bound_suite(seed: int, cases: int = 100) -> SuiteResult:
         if res.M > worst:
             worst = res.M
             detail = f"case {k}: M={res.M:.6f} dev={res.deviation:.4f} len={res.interval_length:.4f}"
-    return SuiteResult("growth_bound", worst <= 2.0 + 1e-6, used, worst, 2.0 + 1e-6, detail)
+    return _result("growth_bound", used, worst, 2.0 + 1e-6, detail)
 
 
 def miura_positivity_suite(seed: int, cases: int = 20) -> SuiteResult:
     """Every unit-window Hermitian-part lambda_min >= -1e-6 for miura potentials."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed, cases=cases)
     worst = -math.inf
     detail = ""
     for k in range(cases):
@@ -132,12 +150,12 @@ def miura_positivity_suite(seed: int, cases: int = 20) -> SuiteResult:
         if -low > worst:
             worst = -low
             detail = f"case {k}: lambda_min={low:.3e}"
-    return SuiteResult("miura_positivity", worst <= 1e-6, cases, worst, 1e-6, detail)
+    return _result("miura_positivity", cases, worst, 1e-6, detail)
 
 
 def solver_consistency_suite(seed: int, cases: int = 20) -> SuiteResult:
     """cauchy_apply vs propagate-with-forcing, plus the Wronskian invariant."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed, cases=cases)
     worst = 0.0
     detail = ""
     for k in range(cases):
@@ -162,7 +180,7 @@ def solver_consistency_suite(seed: int, cases: int = 20) -> SuiteResult:
         if diff > worst:
             worst = diff
             detail = f"case {k}"
-    return SuiteResult("solver_consistency", worst <= 1e-8, cases, worst, 1e-8, detail)
+    return _result("solver_consistency", cases, worst, 1e-8, detail)
 
 
 ALL_SUITES = (

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import math
 import os
 import resource
 import subprocess
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import slcrit as sl
-from slcrit import forms, quadrature, sampling
+from slcrit import criteria, forms, potential, quadrature, regsolve, sampling
 from slcrit.errors import NumericError
+from slcrit.verify import SuiteResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -218,3 +220,90 @@ def reference_march(T, init, drive=None):
 def sequential_march():
     """The ``reference_march`` oracle."""
     return reference_march
+
+
+def reference_growth_case(rng):
+    """One growth-bound case drawn as a lone window: the per-case draw that
+    ``sampling.random_growth_cases`` batches."""
+    rng = sampling._rng(rng)
+    length = rng.uniform(0.03, 0.124)
+    x0 = rng.uniform(0.0, 1.5)
+    s = sampling.random_antiderivative(rng, domain_end=2.0,
+                                       pieces=int(rng.integers(2, 6)),
+                                       jumps=int(rng.integers(0, 3)),
+                                       amplitude=rng.uniform(0.5, 4.0))
+    window = sl.Interval(x0, x0 + length)
+    _c, dev, _dbl = criteria.window_deviation(s, window.a, length)
+    target = rng.uniform(0.005, 0.12)
+    if dev > 1e-12:
+        s = potential.scale(s, np.sqrt(target / dev))
+    return s, window
+
+
+def reference_variance_identity_suite(seed: int, cases: int = 50) -> SuiteResult:
+    """window_deviation.dbl vs the brute-force tensor double integral."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    detail = ""
+    for k in range(cases):
+        s = sampling.random_antiderivative(rng)
+        win = sampling.random_window(rng, s)
+        _c, _dev, dbl = criteria.window_deviation(s, win.a, win.length)
+        brute = criteria.dbl_bruteforce(s, win.a, win.length, n=16)
+        # relative at O(1) scale and above, absolute 1e-8 below it
+        rel = abs(dbl - brute) / max(abs(brute), 1.0)
+        if rel > worst:
+            worst = rel
+            detail = f"case {k}: dbl={dbl!r} brute={brute!r}"
+    return SuiteResult("variance_identity", worst <= 1e-8, cases, worst, 1e-8, detail)
+
+
+def reference_two_sided_suite(seed: int, cases: int = 50) -> SuiteResult:
+    """a*dev <= dbl <= 4*a*dev with slack >= -1e-9 relative."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    detail = ""
+    for k in range(cases):
+        s = sampling.random_antiderivative(rng)
+        win = sampling.random_window(rng, s)
+        a = win.length
+        _c, dev, dbl = criteria.window_deviation(s, win.a, a)
+        scale = max(dbl, a * dev, 1.0)
+        slack = max(a * dev - dbl, dbl - 4.0 * a * dev) / scale
+        if slack > worst:
+            worst = slack
+            detail = f"case {k}: a*dev={a * dev!r} dbl={dbl!r}"
+    return SuiteResult("two_sided", worst <= 1e-9, cases, worst, 1e-9, detail)
+
+
+def reference_growth_bound_suite(seed: int, cases: int = 100) -> SuiteResult:
+    """Fundamental-pair sup bound M <= 2 on qualifying short windows."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    detail = ""
+    used = 0
+    for k in range(cases):
+        s, win = reference_growth_case(rng)
+        try:
+            res = regsolve.growth_bound_check(s, win)
+        except NumericError as exc:
+            return SuiteResult("growth_bound", False, k + 1, math.inf, 2.0 + 1e-6,
+                               str(exc))
+        if not res.applicable:
+            continue
+        used += 1
+        if res.M > worst:
+            worst = res.M
+            detail = f"case {k}: M={res.M:.6f} dev={res.deviation:.4f} len={res.interval_length:.4f}"
+    return SuiteResult("growth_bound", worst <= 2.0 + 1e-6, used, worst, 2.0 + 1e-6, detail)
+
+
+@pytest.fixture()
+def per_case_suites():
+    """The one-window-per-call suite loops that ``slcrit.verify`` batches,
+    by suite name, and the lone growth-case draw: the oracle of the batched
+    suites."""
+    return {"growth_case": reference_growth_case,
+            "variance_identity_suite": reference_variance_identity_suite,
+            "two_sided_suite": reference_two_sided_suite,
+            "growth_bound_suite": reference_growth_bound_suite}

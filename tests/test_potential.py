@@ -399,19 +399,57 @@ def test_grid_keeps_the_cell_nodes_and_every_breakpoint_clear_of_them(corpus):
 @pytest.mark.parametrize("batch", [quadrature.BATCH_PANELS, 5, 1])
 def test_all_windows_pass_equals_separate_calls(corpus, monkeypatch, batch):
     # windows of mixed lengths, shuffled and repeated, graded cells among
-    # them: each window's three moments are bitwise its own, in any batch
+    # them, windows that end or start on a jump and the whole domain: each
+    # window's three moments are bitwise its own, in any batch, in a pass of
+    # its model alone and in one pass over the windows of every model
     monkeypatch.setattr(quadrature, "BATCH_PANELS", batch)
     rng = np.random.default_rng(12)
+    models, windows, own = [], [], []
     for name, s in corpus:
-        starts = np.concatenate([np.arange(0.0, s.domain_end - 0.75, 0.375),
-                                 rng.uniform(0.0, 0.6 * s.domain_end, 10)])
-        ends = np.concatenate([starts[:-10] + 0.75, np.minimum(
-            starts[-10:] + rng.uniform(0.01, 0.4 * s.domain_end, 10), s.domain_end)])
+        X = s.domain_end
+        at = np.asarray([j[0] for j in s.jumps])
+        regular = np.arange(0.0, X - 0.75, 0.375)
+        drawn = rng.uniform(0.0, 0.6 * X, 10)
+        starts = np.concatenate([regular, [0.0], np.maximum(at - 0.5, 0.0), at, drawn])
+        ends = np.concatenate([regular + 0.75, [X], at, np.minimum(at + 0.5, X),
+                               np.minimum(drawn + rng.uniform(0.01, 0.4 * X, 10), X)])
         order = np.concatenate([rng.permutation(starts.size), rng.integers(0, starts.size, 5)])
         m0, q2, dev = potential.window_moments(s, starts[order], ends[order])
         for i, k in enumerate(order):
             one = sl.moments(s, sl.Interval(starts[k], ends[k]))
             assert (one.m0, one.q2, one.dev) == (m0[i], q2[i], dev[i]), (name, starts[k])
+            models.append(s)
+            windows.append((starts[k], ends[k]))
+            own.append((one.m0, one.q2, one.dev))
+    mix = np.concatenate([rng.permutation(len(models)), rng.integers(0, len(models), 20)])
+    starts, ends = np.asarray(windows)[mix].T
+    m0, q2, dev = potential.window_moments([models[i] for i in mix], starts, ends)
+    assert list(zip(m0, q2, dev)) == [own[i] for i in mix]
+
+
+def test_a_window_outside_its_own_model_is_refused(corpus):
+    # the window lies inside the larger model's domain, not its own
+    big, small = dict(corpus)["s2"], dict(corpus)["delta"]
+    assert big.domain_end > small.domain_end + 1.0
+    with pytest.raises(DomainError, match=r"window \[2.5, 3.5\] outside \[0, 3.0\]"):
+        potential.window_moments([big, small], [2.5, 2.5], [3.5, 3.5])
+    with pytest.raises(ValidationError, match="1 models for 2 windows"):
+        potential.window_moments([big], [0.0, 1.0], [1.0, 2.0])
+
+
+def test_keyed_window_edges_equal_each_window_on_its_own_breakpoints():
+    # keys w + 1j x keep each window to its own run, even where another
+    # run's breakpoints lie inside it or coincide with its ends
+    rng = np.random.default_rng(3)
+    runs = [np.sort(rng.choice(np.arange(1.0, 12.0), n, replace=False)) for n in (0, 1, 2, 5, 9, 11)]
+    keys = np.concatenate([w + 1j * r for w, r in enumerate(runs)])
+    owner = rng.integers(0, len(runs), 200)
+    starts = rng.integers(0, 12, 200) + rng.choice([0.0, 0.5], 200)
+    ends = starts + rng.integers(1, 6, 200) - rng.choice([0.0, 0.5], 200)
+    edges, first = quadrature.window_edges(starts, ends, keys, owner)
+    alone = [quadrature.window_edges(a, b, runs[w])[0] for a, b, w in zip(starts, ends, owner)]
+    assert (edges == np.concatenate(alone)).all()
+    assert (first == np.cumsum([0] + [e.size for e in alone[:-1]])).all()
 
 
 def _exact_moments(s, a, b):
