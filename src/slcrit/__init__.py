@@ -15,10 +15,10 @@ from .potential import (Antiderivative, Interval, PiecewiseLinear, PolyTerm,
                         from_poly, load, miura, moments, offset, restrict,
                         save, scale, subtract, vh_profile, zero)
 from .sectors import Sector
-from .criteria import (ClassifyConfig, Thresholds, Verdict, WindowSeries,
-                       brasche_check, brinck, classify, dbl_bruteforce,
-                       decompose_unif, ismagilov_measure, scan_necessary,
-                       sector_fit, window_deviation)
+from .criteria import (ClassifyConfig, Verdict, WindowSeries, brasche_check,
+                       brinck, classify, dbl_bruteforce, decompose_unif,
+                       ismagilov_measure, scan_necessary, sector_fit,
+                       window_deviation)
 from .forms import (PiecewisePoly, RangeEstimate, WindowForm, assemble,
                     form_value, herm_lambda_min, inf_modulus,
                     localization_scan, partition_identity_check,

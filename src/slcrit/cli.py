@@ -199,8 +199,7 @@ def cmd_plot(args) -> int:
     prefix = args.out or "plot"
     series, _refuted = criteria.scan_necessary(s, args.a)
     _write_series_csv(series, f"{prefix}_dbl.csv")
-    _sector, growth, _hint = criteria.brinck(s, args.d, args.a)
-    _write_series_csv(growth, f"{prefix}_growth.csv")
+    _write_series_csv(criteria.growth_series(s, args.a), f"{prefix}_growth.csv")
     written = [f"{prefix}_dbl.csv", f"{prefix}_growth.csv"]
     if s.domain_end >= 2.0:
         scan = forms.localization_scan(s, n=args.mesh, angles=args.angles)
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h0", type=float, default=4.0, help="initial bump height for kind=s2")
     command("verify", cmd_verify, "run the seeded property suites", "--seed", "--out")
     command("plot", cmd_plot, "emit CSV series for external plotting",
-            "--potential", "--xmax", "--a", "--d", "--mesh", "--angles", "--out")
+            "--potential", "--xmax", "--a", "--mesh", "--angles", "--out")
     return parser
 
 

@@ -7,8 +7,9 @@ windows of [0, X]:
   of |s(xi) - s(eta)|^2 over a window square and its variance identity;
 * ``scan_necessary``   -- divergence scan of that double integral (a bounded
   scan refutes the necessary condition for compact resolvents);
+* ``growth_series``    -- the growth series |s(x+a) - s(x)|;
 * ``brinck``           -- difference sector s(x) - s(t) for 0 <= x - t <= d
-  plus the growth series |s(x+a) - s(x)| (criterion under a verified sector);
+  plus the growth series (criterion under a verified sector);
 * ``ismagilov_measure``-- measure of near-equal pairs in a window square;
 * ``sector_fit``       -- angular hull of arg(s(x)+f(x)-s(t)-g(t));
 * ``brasche_check``    -- unit-window increment of the negative variation;
@@ -17,8 +18,8 @@ windows of [0, X]:
 * ``classify``         -- rule aggregation into a Verdict.
 
 The half-line limits of the theory become windowed trend tests over [0, X];
-thresholds are explicit, configurable, and reported in the evidence instead
-of being hidden.
+their thresholds are explicit module constants, reported in the evidence
+instead of being hidden.
 """
 
 from __future__ import annotations
@@ -38,14 +39,11 @@ OUTCOME_NOT_COMPACT = "NotCompact"
 OUTCOME_INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Finite-window proxies for the theory's limit statements."""
-
-    growth_factor: float = 1.05     # last-quarter vs first-quarter max ratio
-    dbl_bound: float = 10.0         # absolute ceiling for a "bounded" dbl scan
-    growth_bound: float = 10.0      # absolute ceiling for a bounded growth series
-    deviation_bound: float = 1.0    # ceiling for a bounded window-deviation scan
+# finite-window proxies for the theory's limit statements
+GROWTH_FACTOR = 1.05    # last-quarter vs first-quarter max ratio
+DBL_BOUND = 10.0        # absolute ceiling for a "bounded" dbl scan
+GROWTH_BOUND = 10.0     # absolute ceiling for a bounded growth series
+DEVIATION_BOUND = 1.0   # ceiling for a bounded window-deviation scan
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,7 @@ def _origins(end: float, a: float, step: float) -> np.ndarray:
     return np.minimum(t[t <= limit], end - a)
 
 
-def scan_necessary(s: Antiderivative, a: float,
-                   thresholds: Thresholds = Thresholds()):
+def scan_necessary(s: Antiderivative, a: float):
     """dbl over origins i*a/2 up to X-a; refuted=True when the scan is bounded.
 
     A bounded scan refutes the divergence that compact resolvents require.
@@ -177,8 +174,7 @@ def scan_necessary(s: Antiderivative, a: float,
         raise DomainError(f"window length {a} must lie in (0, {s.domain_end}]")
     origins = _origins(s.domain_end, a, a / 2.0)
     series = WindowSeries(a, origins, window_deviations(s, origins, a)[2])
-    refuted = bounded_trend(series.values, thresholds.growth_factor,
-                            thresholds.dbl_bound)
+    refuted = bounded_trend(series.values, GROWTH_FACTOR, DBL_BOUND)
     return series, refuted
 
 
@@ -226,8 +222,13 @@ class DifferenceCloud:
         yield np.concatenate(parts)
 
 
-def brinck(s: Antiderivative, d: float = 1.0, a: float = 1.0,
-           thresholds: Thresholds = Thresholds()):
+def growth_series(s: Antiderivative, a: float) -> WindowSeries:
+    """|s(x+a) - s(x)| over origins i*a/4 up to X-a."""
+    origins = _origins(s.domain_end, a, a / 4.0)
+    return WindowSeries(a, origins, np.abs(s.values(origins + a) - s.values(origins)))
+
+
+def brinck(s: Antiderivative, d: float = 1.0, a: float = 1.0):
     """Difference-sector check plus the window growth series.
 
     Returns (diff_sector or None, growth series, verdict hint).  The sector is
@@ -241,13 +242,10 @@ def brinck(s: Antiderivative, d: float = 1.0, a: float = 1.0,
         raise DomainError("difference depth d must lie in (0, 1]")
     sector = sectors.fit_sector(DifferenceCloud(s, d), require_strict_args=True,
                                 translate_vertex=True)
-    origins = _origins(s.domain_end, a, a / 4.0)
-    growth = np.abs(s.values(origins + a) - s.values(origins))
-    series = WindowSeries(a, origins, growth)
+    series = growth_series(s, a)
     hint = None
     if sector is not None:
-        bounded = bounded_trend(series.values, thresholds.growth_factor,
-                                thresholds.growth_bound)
+        bounded = bounded_trend(series.values, GROWTH_FACTOR, GROWTH_BOUND)
         hint = OUTCOME_NOT_COMPACT if bounded else OUTCOME_COMPACT
     return sector, series, hint
 
@@ -373,7 +371,6 @@ def decompose_unif(s: Antiderivative) -> UnifDecomposition:
 class ClassifyConfig:
     a: float = 1.0
     d: float = 1.0
-    thresholds: Thresholds = Thresholds()
     base: tuple = None        # optional (s0, eps): perturbation rule inputs
     f: Antiderivative = None  # optional pair functions for the sector fit
     g: Antiderivative = None
@@ -396,21 +393,19 @@ def classify(s: Antiderivative, config: ClassifyConfig = ClassifyConfig()) -> Ve
     sufficient; (iv) a supplied base potential with scaling margin whose
     perturbation has bounded window deviation passes its verdict on.
     """
-    th = config.thresholds
     evidence = []
 
-    series, refuted = scan_necessary(s, config.a, th)
+    series, refuted = scan_necessary(s, config.a)
     q = max(1, series.values.size // 4)
     evidence.append(Evidence(
         "scan_necessary", "necessary-condition",
         {"a": config.a, "refuted": refuted, "growing": not refuted,
          "first_quarter_max": float(np.max(series.values[:q])),
          "last_quarter_max": float(np.max(series.values[-q:])),
-         "ceiling": th.dbl_bound, "factor": th.growth_factor}))
+         "ceiling": DBL_BOUND, "factor": GROWTH_FACTOR}))
 
-    diff_sector, growth, hint = brinck(s, config.d, config.a, th)
-    growth_bounded = bounded_trend(growth.values, th.growth_factor,
-                                   th.growth_bound)
+    diff_sector, growth, hint = brinck(s, config.d, config.a)
+    growth_bounded = bounded_trend(growth.values, GROWTH_FACTOR, GROWTH_BOUND)
     ev = {"d": config.d, "a": config.a, "sector": _sector_dict(diff_sector),
           "growth_bounded": growth_bounded,
           "growth_max": float(np.max(growth.values)) if growth.values.size else 0.0,
@@ -427,12 +422,10 @@ def classify(s: Antiderivative, config: ClassifyConfig = ClassifyConfig()) -> Ve
         sigma = potential.subtract(s, s0)
         dev_values = window_deviations(
             sigma, _origins(s.domain_end, 1.0, 0.5), 1.0)[1]
-        sigma_bounded = bounded_trend(dev_values, th.growth_factor,
-                                      th.deviation_bound)
+        sigma_bounded = bounded_trend(dev_values, GROWTH_FACTOR, DEVIATION_BOUND)
         scaled_sector, _g, _h = brinck(potential.scale(s0, 1.0 + eps),
-                                       config.d, config.a, th)
-        base_cfg = ClassifyConfig(a=config.a, d=config.d, thresholds=th)
-        base_verdict = classify(s0, base_cfg)
+                                       config.d, config.a)
+        base_verdict = classify(s0, ClassifyConfig(a=config.a, d=config.d))
         fired = sigma_bounded and scaled_sector is not None
         if fired:
             inherit = base_verdict.outcome

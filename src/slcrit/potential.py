@@ -282,10 +282,6 @@ class Antiderivative:
 
     # -- helpers ----------------------------------------------------------
 
-    def piece_index(self, x: float) -> int:
-        k = int(np.searchsorted(self._bp_arr, x, side="right")) - 1
-        return min(max(k, 0), len(self.pieces) - 1)
-
     def check_interval(self, interval: Interval) -> Interval:
         if interval.a < 0.0 or interval.b > self.domain_end:
             raise DomainError(
@@ -495,41 +491,27 @@ def delta_sum(positions, strengths, domain_end: float) -> Antiderivative:
 # -- arithmetic ------------------------------------------------------------
 
 
-def _merge_breakpoints(*sequences) -> tuple:
-    merged = np.unique(np.concatenate([np.asarray(seq, dtype=float)
-                                       for seq in sequences]))
-    floor = _POLE_MARGIN * max(1.0, merged[-1] - merged[0])
-    keep = [merged[0]]
-    for t in merged[1:]:
-        if t - keep[-1] > floor:
-            keep.append(t)
-        else:
-            keep[-1] = t  # later (larger) representative wins; keeps X exact
-    keep[0] = merged[0]
-    return tuple(keep)
-
-
 def add(*parts: Antiderivative) -> Antiderivative:
-    """Pointwise sum of antiderivatives sharing one domain."""
+    """Pointwise sum of antiderivatives on one domain [0, X], X equal in all.
+
+    The sum's breakpoints are the exact union of its summands', however close
+    two of them lie, so every summand breakpoint (and with it every jump) is
+    one of the sum's, and a summand's piece at the left end of a piece of the
+    sum holds on all of it.
+    """
     X = parts[0].domain_end
-    if any(abs(p.domain_end - X) > _POLE_MARGIN * max(1.0, X) for p in parts):
+    if any(p.domain_end != X for p in parts):
         raise ValidationError("summands must share domain_end")
-    bp = list(_merge_breakpoints(*[p.breakpoints for p in parts]))
-    bp[0], bp[-1] = 0.0, X  # merged representatives may come from any summand
-    bp = tuple(bp)
-    pieces = []
-    for t0, t1 in zip(bp, bp[1:]):
-        mid = 0.5 * (t0 + t1)
-        terms: list[Term] = []
-        for p in parts:
-            terms.extend(p.pieces[p.piece_index(mid)])
-        pieces.append(merge_terms(terms))
+    bp = np.unique(np.concatenate([p._bp_arr for p in parts]))
+    index = [p._bp_arr.searchsorted(bp[:-1], side="right") - 1 for p in parts]
+    pieces = tuple(merge_terms([t for p, k in zip(parts, ks) for t in p.pieces[k]])
+                   for ks in zip(*index))
     jumps: dict[float, complex] = {}
     for p in parts:
         for at, off in p.jumps:
             jumps[at] = jumps.get(at, 0j) + off
     jump_list = tuple((at, off) for at, off in sorted(jumps.items()) if off != 0)
-    return Antiderivative(X, bp, tuple(pieces), jump_list)
+    return Antiderivative(X, tuple(bp), pieces, jump_list)
 
 
 def scale(s: Antiderivative, k: complex) -> Antiderivative:
@@ -550,10 +532,7 @@ def scale(s: Antiderivative, k: complex) -> Antiderivative:
 
 def offset(s: Antiderivative, c: complex) -> Antiderivative:
     """s + c; adding a constant to s leaves the modelled operator unchanged."""
-    shift = zero(s.domain_end)
-    shift = Antiderivative(s.domain_end, shift.breakpoints,
-                           ((PolyTerm((complex(c),)),),))
-    return add(s, shift)
+    return add(s, from_poly((c,), s.domain_end))
 
 
 def subtract(s1: Antiderivative, s2: Antiderivative) -> Antiderivative:
@@ -687,8 +666,9 @@ def vh_profile(h: float) -> tuple[PiecewiseLinear, Antiderivative]:
 
 
 def _staircase(levels_fn, cuts, domain_end: float) -> Antiderivative:
-    """Continuous S with piecewise-constant derivative ``levels_fn(cell)``."""
-    bp = _merge_breakpoints(np.asarray(sorted(set(list(cuts) + [0.0, domain_end]))))
+    """Continuous S with derivative ``levels_fn(t0, t1)`` on each cell [t0, t1]
+    between the sorted set of the cuts, 0 and ``domain_end``."""
+    bp = sorted(set(cuts) | {0.0, float(domain_end)})
     pieces = []
     running = 0.0
     for t0, t1 in zip(bp, bp[1:]):
@@ -748,9 +728,9 @@ def build_counterexample(kind: str, *, blocks=None, theta: float = None,
 
         def level(t0, t1):
             for n_k, _h, a_k in schedule:
-                if t0 >= n_k - 0.5 - 1e-12 and t1 <= n_k + 1.5 + 1e-12:
+                if t0 >= n_k - 0.5 and t1 <= n_k + 1.5:
                     return a_k
-            return math.floor(t0 + 1e-9)
+            return math.floor(t0)
 
         parts = [_staircase(level, cuts, X)]
         if schedule:
@@ -769,7 +749,7 @@ def _stitch_blocks(profiles, shifts, amplitudes, domain_end: float) -> Antideriv
     pieces: list[tuple] = []
     prev = 0.0
     for profile, shift, amp in zip(profiles, shifts, amplitudes):
-        if shift < prev - _POLE_MARGIN:
+        if shift < prev:
             raise ValidationError("blocks must not overlap")
         if shift > prev:
             bp.append(shift)
@@ -786,7 +766,7 @@ def _stitch_blocks(profiles, shifts, amplitudes, domain_end: float) -> Antideriv
                     shifted.append(RecipTerm(amp * term.c, term.pole + shift))
             pieces.append(tuple(shifted))
         prev = shift + profile.domain_end
-    if domain_end < prev - _POLE_MARGIN:
+    if domain_end < prev:
         raise ValidationError(f"domain_end {domain_end} truncates a block")
     if domain_end > prev:
         bp.append(float(domain_end))

@@ -1,5 +1,6 @@
 """Unit tests for the FEM window forms, range estimates, and scans."""
 
+import bisect
 import dataclasses
 import math
 import tracemalloc
@@ -88,7 +89,7 @@ def _exact_p_bands(s, nodes, part):
         cuts = [xl] + [Fraction(t) for t in s.breakpoints if xl < t < xr] + [xr]
         i0 = i1 = Fraction(0)
         for u, w in zip(cuts[:-1], cuts[1:]):
-            piece = s.pieces[s.piece_index(float((u + w) / 2))]
+            piece = s.pieces[bisect.bisect_right(s.breakpoints, u) - 1]
             coeffs = list(piece[0].coeffs) if piece else [0j]
             coeffs[0] += sum((off for at, off in s.jumps if at <= u), 0j)
             for k, c in enumerate(Fraction(part(c)) for c in coeffs):

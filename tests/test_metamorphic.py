@@ -65,13 +65,9 @@ def _deviations(s, a):
     return dev, dbl
 
 
-@PROFILE
-@given(doc=documents(), c=OFFSETS, a=st.floats(0.25, 2.0))
-def test_offset_leaves_deviation_and_dbl_unchanged(doc, c, a):
-    s = potential.from_dict(doc)
-    shifted = potential.offset(s, c)
-    dev, dbl = _deviations(s, a)
-    dev1, dbl1 = _deviations(shifted, a)
+def _assert_offset_keeps_deviations(s, c, a, origins):
+    _c, dev, dbl = criteria.window_deviations(s, origins, a)
+    _c, dev1, dbl1 = criteria.window_deviations(potential.offset(s, c), origins, a)
     floor = 1e-12 * np.maximum(dev, 1.0)
     if len(s.pieces) == 1:
         # one piece: the centred pass takes r off every constant term in
@@ -88,6 +84,22 @@ def test_offset_leaves_deviation_and_dbl_unchanged(doc, c, a):
         bound = 2.0 * np.sqrt(a * dev) * delta + a * delta ** 2 + floor
     assert np.all(np.abs(dev1 - dev) <= bound), np.max(np.abs(dev1 - dev) - bound)
     assert np.all(np.abs(dbl1 - dbl) <= 2.0 * a * bound)
+
+
+@PROFILE
+@given(doc=documents(), c=OFFSETS, a=st.floats(0.25, 2.0))
+def test_offset_leaves_deviation_and_dbl_unchanged(doc, c, a):
+    s = potential.from_dict(doc)
+    _assert_offset_keeps_deviations(s, c, a, criteria._origins(s.domain_end, a, a / 2.0))
+
+
+@pytest.mark.parametrize("c", [1.0, -1e4, 1e6j, 1e8])
+def test_offset_leaves_the_deviations_of_close_deltas_unchanged(c):
+    # two deltas 1e-8 apart at X/2 = 1e5; the windows from 1.5 before to 0.5
+    # past them, one ending and one starting at the first
+    X = 2e5
+    s = sl.delta_sum([X / 2, X / 2 + 1e-8], [1.0, -1.0], X)
+    _assert_offset_keeps_deviations(s, c, 1.0, X / 2 + np.linspace(-1.5, 0.5, 9))
 
 
 def _conjugate(doc):

@@ -1,5 +1,6 @@
 """Unit tests for the exact piecewise antiderivative models."""
 
+import bisect
 import json
 import math
 from fractions import Fraction
@@ -219,6 +220,56 @@ def test_scale_add_offset():
     assert np.allclose(t.values(xs), 2.0 * xs + 1.0)
     d = sl.subtract(t, t)
     assert np.allclose(d.values(xs), 0.0)
+
+
+def _probes(*models):
+    """Every breakpoint of the models, the float just left of each, and the
+    midpoint of every piece between them."""
+    bp = np.unique(np.concatenate([m.breakpoints for m in models]))
+    return np.concatenate([bp, np.nextafter(bp[1:], -np.inf), 0.5 * (bp[:-1] + bp[1:])])
+
+
+@pytest.mark.parametrize("X, g", [(12.0, 5e-12), (3444.0, 1e-9), (2e5, 1e-8)])
+def test_sums_of_close_deltas_equal_the_sums_of_their_parts(X, g):
+    # two deltas g apart: every sum keeps both breakpoints and both jumps
+    s = sl.delta_sum([X / 2, X / 2 + g], [1.0, -1.0], X)
+    half = sl.scale(s, 0.5)
+    x = _probes(s)
+    for total, parts in ((sl.add(s, sl.zero(X)), s.values(x) + sl.zero(X).values(x)),
+                         (sl.offset(s, 1.0), s.values(x) + 1.0),
+                         (sl.subtract(s, half), s.values(x) - half.values(x))):
+        assert total.breakpoints == s.breakpoints
+        assert np.array_equal(total.values(x), parts)
+
+
+def test_a_step_plus_a_breakpoint_a_sliver_away_sums_on_the_sliver():
+    step = sl.Antiderivative(2.0, (0.0, 1.0, 2.0), ((PolyTerm((0.0,)),), (PolyTerm((10.0,)),)))
+    line = sl.Antiderivative(2.0, (0.0, 1.0 + 5e-13, 2.0),
+                             ((PolyTerm((0.0, 1.0)),), (PolyTerm((0.0, 1.0)),)))
+    total = sl.add(step, line)
+    x = _probes(step, line)
+    assert np.array_equal(total.values(x), step.values(x) + line.values(x))
+    assert total(1.0 + 2e-13) == 10.0 + (1.0 + 2e-13)
+
+
+def test_offset_keeps_a_sliver_first_piece():
+    # s drops by 5 at 1e-13: a delta of strength -5 at the sliver's end
+    s = sl.Antiderivative(1.0, (0.0, 1e-13, 1.0), ((PolyTerm((5.0,)),), ()))
+    t = sl.offset(s, 1.0)
+    assert t.breakpoints == s.breakpoints
+    x = _probes(s)
+    assert np.array_equal(t.values(x), s.values(x) + 1.0)
+    assert t(5e-14) == 6.0 and t(1e-13) == 1.0
+
+
+def test_add_refuses_domains_a_rounding_apart():
+    with pytest.raises(ValidationError, match="share domain_end"):
+        sl.add(sl.zero(12.0), sl.zero(12.0 + 1e-12))
+
+
+def test_a_domain_a_sliver_short_of_the_last_block_truncates_it():
+    with pytest.raises(ValidationError, match="truncates a block"):
+        sl.build_counterexample("s1", blocks=1, domain_end=6.0 - 1e-13)
 
 
 def test_restrict():
@@ -470,7 +521,7 @@ def _exact_moments(s, a, b):
     m_re = m_im = q2 = Fraction(0)
     for lo, hi in zip(edges, edges[1:]):
         mid = float(lo + hi) / 2
-        piece = s.pieces[s.piece_index(mid)]
+        piece = s.pieces[bisect.bisect_right(s.breakpoints, lo) - 1]
         coeffs = piece[0].coeffs if piece else (0j,)
         jumps = [off for at, off in s.jumps if at <= mid]
         re = [Fraction(c.real) for c in coeffs]
@@ -663,7 +714,7 @@ def test_near_pole_moments_match_closed_forms():
         m0 = q2 = 0.0
         edges = [a] + [t for t in gamma.breakpoints if a < t < b] + [b]
         for lo, hi in zip(edges, edges[1:]):
-            (term,) = gamma.pieces[gamma.piece_index(0.5 * (lo + hi))]
+            (term,) = gamma.pieces[bisect.bisect_right(gamma.breakpoints, lo) - 1]
             if isinstance(term, PolyTerm):
                 m0 += term.coeffs[0] * (hi - lo)
                 q2 += abs(term.coeffs[0]) ** 2 * (hi - lo)
